@@ -123,9 +123,9 @@ func clusterRunLocal(g *hypergraph.Hypergraph, cfg solveConfig, carry []float64)
 		return nil, fmt.Errorf("distcover: cluster: %w: exact arithmetic is not distributable", core.ErrPartitionOptions)
 	}
 	// Per-partition runners share nothing with a coordinator-side trace;
-	// mirror the wire path, which runs these collectors off.
+	// mirror the wire path, which runs this collector off. Invariant checks
+	// stay on when asked for: each partition checks its own range.
 	cfg.core.CollectTrace = false
-	cfg.core.CheckInvariants = false
 	stop := cfg.startSpan("cluster-local")
 	defer stop()
 	// The partition runners execute concurrently; the per-iteration phase

@@ -2,6 +2,7 @@ package distcover
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -82,5 +83,18 @@ func TestWithInvariantChecks(t *testing.T) {
 	}
 	if _, err := Solve(inst, WithInvariantChecks(), WithExactArithmetic()); err != nil {
 		t.Errorf("exact invariant-checked solve failed: %v", err)
+	}
+	// In-process partitions check their own ranges; the option must not
+	// change the result.
+	want, err := Solve(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Solve(inst, WithInvariantChecks(), WithClusterPartitions(2))
+	if err != nil {
+		t.Fatalf("invariant-checked partitioned solve failed: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("invariant-checked partitioned solve diverges:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -12,9 +12,14 @@ import (
 // flatWorkers is the fixed flat-runner worker count of the probes.
 const flatWorkers = 4
 
+// clusterLocalParts is the partition count of the in-process partitioned
+// probe (the serving benchmark's cold-solve shape).
+const clusterLocalParts = 2
+
 // MeasureAllocs counts heap allocations on the hot paths the ROADMAP asks
 // to gate machine-independently: a full lockstep solve, the same solve on
-// the chunk-parallel flat runner, and a session delta batch. Allocation
+// the chunk-parallel flat runner and split into clusterLocalParts
+// in-process partitions, and a session delta batch. Allocation
 // counts are a property of the code, not the hardware, so the baseline
 // comparator holds them to exact equality (the 0.001 tolerance is
 // float-formatting slack) — the regression gate that raw wall-clock
@@ -40,6 +45,11 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 			panic(err)
 		}
 	})
+	clusterLocalAllocs := testing.AllocsPerRun(20, func() {
+		if _, err := distcover.Solve(inst, distcover.WithClusterPartitions(clusterLocalParts)); err != nil {
+			panic(err)
+		}
+	})
 	updateAllocs, err := sessionUpdateAllocs(inst, delta, 20)
 	if err != nil {
 		return nil, nil, err
@@ -52,10 +62,12 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 	}
 	t.AddRow("Solve (lockstep, 2000x4000 f=3)", fmt.Sprintf("%.0f", solveAllocs))
 	t.AddRow(fmt.Sprintf("Solve (flat, %d workers)", flatWorkers), fmt.Sprintf("%.0f", flatAllocs))
+	t.AddRow(fmt.Sprintf("Solve (in-process, %d partitions)", clusterLocalParts), fmt.Sprintf("%.0f", clusterLocalAllocs))
 	t.AddRow("Session.Update (100-edge delta)", fmt.Sprintf("%.0f", updateAllocs))
 	ms := []bench.Measurement{
 		{Name: "allocs/solve/sim", Value: solveAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/solve/flat", Value: flatAllocs, Unit: "allocs", Tolerance: 0.001},
+		{Name: "allocs/solve/cluster-local", Value: clusterLocalAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/session/update", Value: updateAllocs, Unit: "allocs", Tolerance: 0.001},
 	}
 	return ms, []bench.Table{t}, nil

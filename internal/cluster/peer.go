@@ -225,8 +225,7 @@ func (p *Peer) serveMux(conn net.Conn, hello helloFrame) error {
 	m := newMux(conn, p.timeout(), p.Tracer, "")
 	peerAddr := conn.LocalAddr().String()
 	var wg sync.WaitGroup
-	m.onNew = func(ch uint16) chan muxMsg {
-		sub := make(chan muxMsg, muxSubDepth)
+	m.onNew = func(ch uint16) {
 		rw := &muxChanRW{m: m, ch: ch}
 		wg.Add(1)
 		go func() {
@@ -240,7 +239,6 @@ func (p *Peer) serveMux(conn net.Conn, hello helloFrame) error {
 					"remote", conn.RemoteAddr().String(), "channel", ch, "err", err)
 			}
 		}()
-		return sub
 	}
 	m.readLoop()
 	wg.Wait()

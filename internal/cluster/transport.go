@@ -74,19 +74,20 @@ const muxSubDepth = 8
 // single readLoop demultiplexes incoming frames to per-channel
 // subscriptions; writers from any channel serialize on wmu. The
 // coordinator pre-registers its channels with channel() before starting
-// readLoop; the peer instead sets onNew, which is invoked from readLoop
-// for the first frame of an unknown channel and may register a handler
-// (returning nil rejects the channel and kills the connection).
+// readLoop; the peer instead sets onNew, which readLoop invokes for the
+// first frame of an unknown channel once that channel's subscription is
+// registered (without onNew, an unknown channel kills the connection).
 type mux struct {
 	conn net.Conn
 	d    time.Duration
 	tr   telemetry.Tracer
 	peer string // telemetry label, as in connRW
 
-	// onNew accepts a new incoming channel (peer side). It runs on the
-	// readLoop goroutine, before the triggering frame is delivered to the
-	// returned subscription.
-	onNew func(ch uint16) chan muxMsg
+	// onNew accepts a new incoming channel (peer side), typically by
+	// starting its handler. It runs on the readLoop goroutine after the
+	// channel's subscription is registered — so the handler's first
+	// recvFrame finds it — and before the triggering frame is delivered.
+	onNew func(ch uint16)
 
 	wmu sync.Mutex // serializes writeFrameV3 across channels
 
@@ -146,16 +147,15 @@ func (m *mux) readLoop() {
 		sub, ok := m.subs[ch]
 		m.mu.Unlock()
 		if !ok {
-			if m.onNew != nil {
-				sub = m.onNew(ch)
-			}
-			if sub == nil {
+			if m.onNew == nil {
 				m.fail(fmt.Errorf("%w: frame %s on unknown channel %d", ErrBadFrame, frameName(ft), ch))
 				return
 			}
+			sub = make(chan muxMsg, muxSubDepth)
 			m.mu.Lock()
 			m.subs[ch] = sub
 			m.mu.Unlock()
+			m.onNew(ch)
 		}
 		select {
 		case sub <- muxMsg{ft: ft, payload: payload}:

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -248,4 +249,58 @@ func TestClusterMuxPeerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireResultsEqual(t, "post-failure", got, want)
+}
+
+// TestMuxPeerAnswersEveryNewChannel: many v3 channels opened at once on
+// one connection must each get their answer. The peer starts a handler per
+// new channel from its read loop; if the handler could reach its first
+// read before the channel's subscription was registered, it would find
+// none, exit as if the connection were gone, and leave the coordinator to
+// wait out the read timeout.
+func TestMuxPeerAnswersEveryNewChannel(t *testing.T) {
+	addr, _ := startCountingPeer(t, nil)
+	const rounds, channels = 100, 16
+	d := 5 * time.Second
+	for round := 0; round < rounds; round++ {
+		conn, ver, err := dialNegotiate(addr, d, nil, 3, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ver != 3 {
+			conn.Close()
+			t.Fatalf("negotiated protocol %d, want 3", ver)
+		}
+		m := newMux(conn, d, nil, addr)
+		rws := make([]frameRW, channels)
+		for ch := range rws {
+			rws[ch] = m.channel(uint16(ch))
+		}
+		go m.readLoop()
+		errs := make(chan error, channels)
+		for ch, rw := range rws {
+			go func(ch int, rw frameRW) {
+				hash := fmt.Sprintf("round %d channel %d", round, ch)
+				if err := rw.sendFrame(ftInvalidate, []byte(hash)); err != nil {
+					errs <- err
+					return
+				}
+				ack, _, err := expectFrame(rw, addr, ftHashOK)
+				if err == nil && string(ack) != hash {
+					err = fmt.Errorf("channel %d: ack %q for %q", ch, ack, hash)
+				}
+				errs <- err
+			}(ch, rw)
+		}
+		var first error
+		for range rws {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
+		}
+		conn.Close()
+		<-m.done
+		if first != nil {
+			t.Fatalf("round %d: %v", round, first)
+		}
+	}
 }

@@ -7,13 +7,15 @@ import (
 )
 
 // This file implements the arena-backed solver state the float64 runners
-// (the sequential lockstep simulator and the chunk-parallel flat runner)
-// allocate from. The ~20 per-vertex and per-edge slices of state plus the
-// flat runner's scratch (addE, newly, frontier lists) are carved out of
-// three element-typed slabs held by a pooled floatSolver, so a warm solve
+// (the sequential lockstep simulator and the frontier runner) allocate
+// from. The ~20 per-vertex and per-edge slices of state plus the frontier
+// runner's scratch (addE, newly, frontier lists) are carved out of three
+// element-typed slabs held by a floatSolver, so a warm pooled solve
 // performs no per-field allocations and the GC never sees the inner loop.
 // The pool is shared by one-shot solves and Session residual re-solves: a
-// session applying delta batches reuses the same slabs across updates.
+// session applying delta batches reuses the same slabs across updates. A
+// partition run (RunPartition) instead takes a fresh floatSolver sized to
+// its range and local edges and drops it with the run.
 //
 // Pooled memory is reused, not implicitly zeroed, so every carve either
 // declares that the runner fully initializes the slice before reading it
@@ -81,8 +83,8 @@ func (a *solveArena) boolsZero(n int) []bool {
 	return s
 }
 
-// floatSolver bundles the solver state, the flat runner's scaffolding and
-// the arena they are carved from into one pooled allocation.
+// floatSolver bundles the solver state, the frontier runner's scaffolding
+// and the arena they are carved from into one allocation.
 type floatSolver struct {
 	st    state[float64]
 	run   flatRun
@@ -91,20 +93,12 @@ type floatSolver struct {
 
 var floatSolverPool = sync.Pool{New: func() any { return new(floatSolver) }}
 
-// initState carves a fresh state for g out of the arena. With flat set it
-// additionally reserves the flat runner's per-edge scratch and frontier
-// lists (carved by runLockstepFlat after this returns).
-func (s *floatSolver) initState(g *hypergraph.Hypergraph, opts Options, flat bool) *state[float64] {
+// initState carves a fresh state for g out of the arena, reserving room
+// for extraF floats, extraI ints and extraB bools the caller carves after
+// it (the frontier runner's per-edge scratch and frontier lists).
+func (s *floatSolver) initState(g *hypergraph.Hypergraph, opts Options, extraF, extraI, extraB int) *state[float64] {
 	n, m := g.NumVertices(), g.NumEdges()
-	nf := 3*m + 5*n
-	ni := 6*n + m
-	nb := m + 6*n
-	if flat {
-		nf += m     // addE
-		ni += n + m // activeV, liveE
-		nb += m     // newly
-	}
-	s.arena.reset(nf, ni, nb)
+	s.arena.reset(3*m+5*n+extraF, 5*n+m+extraI, m+4*n+extraB)
 	a := &s.arena
 	num := floatNumeric{}
 	f := g.Rank()
@@ -154,7 +148,7 @@ func (s *floatSolver) release() {
 // run — the arena only changes where the slices live.
 func runLockstepFloat(g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, error) {
 	s := floatSolverPool.Get().(*floatSolver)
-	st := s.initState(g, opts, false)
+	st := s.initState(g, opts, 0, 0, 0)
 	res, err := runLockstepOn(st, carry)
 	s.release()
 	return res, err

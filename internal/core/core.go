@@ -17,15 +17,21 @@
 // O(logΔ/loglogΔ) for constant f and ε, matching the lower bound of Kuhn,
 // Moscibroda and Wattenhofer.
 //
-// Two execution paths share one semantics:
+// Three execution paths share one semantics:
 //
-//   - Run executes a fast lockstep simulation directly over the hypergraph
-//     (used by benchmarks and large experiments).
+//   - Run executes the generic lockstep runner directly over the
+//     hypergraph: float64 by default, exact big.Rat arithmetic on request;
+//     it is also the tests' reference.
+//   - RunFlat, RunPartition and RunPartitioned execute the frontier runner
+//     (flat.go) over an owned vertex range: the whole instance on a
+//     chunk-parallel worker pool, or one contiguous partition that
+//     exchanges boundary states and coverage counts with its peers through
+//     an Exchanger (partition.go, exchanger.go).
 //   - RunCongest builds the bipartite vertex/edge CONGEST network of
 //     Section 2 and executes the message protocol of Appendix B with
 //     O(log n)-bit messages on a congest.Engine.
 //
-// Tests verify that both paths produce identical covers, duals and
+// Tests verify that all paths produce identical covers, duals and
 // iteration counts, that the invariants of Claims 1, 2 and 4 hold, and that
 // the cover weight never exceeds (f+ε) times the dual lower bound
 // (Corollary 3).

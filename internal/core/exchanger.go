@@ -14,7 +14,7 @@ import (
 // through a cluster coordinator. RunPartition is written against the
 // Exchanger interface, so the solver code is byte-for-byte the same on
 // both paths and the results stay bit-identical to RunFlat — the partition
-// equivalence tests sweep this path at 1..4 partitions alongside the wire
+// equivalence tests sweep this path at 1..8 partitions alongside the wire
 // paths.
 
 // MemExchangerGroup synchronizes np co-located partitions through shared

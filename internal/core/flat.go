@@ -12,30 +12,39 @@ import (
 	"distcover/internal/telemetry"
 )
 
-// This file implements the flat engine: a chunk-parallel execution of the
-// lockstep runner (runner.go) over the hypergraph's CSR arrays. Each phase
-// of an iteration becomes a parallel-for over chunks of the current
-// frontier with per-chunk partial statistics and a deterministic reduction,
-// and the one scatter in the sequential runner — edges adding their dual
-// increment into every member vertex's Σδ — is inverted into a per-vertex
-// gather over the incidence CSR. The gather visits each vertex's incident
-// edges in ascending edge id, which is exactly the order the sequential
-// edge loop scatters in, so every float accumulates the same addends in the
-// same order: the flat engine is bit-identical to runLockstep (and
-// therefore to all CONGEST engines), independent of the worker count. The
-// engine equivalence tests enforce this.
+// This file implements the frontier runner, the one float64 implementation
+// of the iteration phases besides the generic lockstep runner (runner.go).
+// It runs over an owned vertex range [lo, hi): the whole instance for the
+// flat engine (RunFlat, RunResidualFlat), one contiguous partition for
+// RunPartition and RunPartitioned (partition.go), which add an Exchanger
+// called between the vertex phase and the fused edge+gather phase
+// (boundary states) and after it (coverage counts).
+//
+// Each phase of an iteration becomes a parallel-for over chunks of the
+// current frontier with per-chunk partial statistics and a deterministic
+// reduction, and the one scatter in the sequential runner — edges adding
+// their dual increment into every member vertex's Σδ — is inverted into a
+// per-vertex gather over the incidence CSR. The gather visits each vertex's
+// incident edges in ascending edge id, which is exactly the order the
+// sequential edge loop scatters in, so every float accumulates the same
+// addends in the same order: the runner is bit-identical to runLockstep
+// (and therefore to all CONGEST engines), independent of the worker count
+// and of the partition plan. The engine and partition equivalence tests
+// enforce this.
 //
 // Frontier tracking: the runner maintains two compact ascending index
-// lists — activeV, the vertices with doneV false, and liveE, the uncovered
-// edges — and compacts both in place at the end of each iteration. Phases
-// iterate the frontier, not [0,n) / [0,m), so per-iteration work is
-// proportional to the residual instance (the accounting the paper's round
-// bounds assume), covered edges are never revisited, and the per-iteration
-// trace counters fall out of the list lengths. The compaction preserves two
-// invariants the phase bodies rely on: every vertex of a live edge is
-// active (a vertex retires only once all its edges are covered, and a
-// joining vertex covers its edges in the same iteration it joins), and
-// newly[e] is false for every edge outside liveE (cleared exactly once,
+// lists — activeV, the owned vertices with doneV false, and liveE, the
+// uncovered local edges (edges with a member in the owned range) — and
+// compacts both in place at the end of each iteration. Phases iterate the
+// frontier, not the whole range, so per-iteration work is proportional to
+// the residual instance (the accounting the paper's round bounds assume),
+// covered edges are never revisited, and the per-iteration trace counters
+// fall out of the list lengths. The compaction preserves two invariants the
+// phase bodies rely on: every vertex of a live edge is active (a vertex
+// retires only once all its edges are covered, and a joining vertex covers
+// its edges in the same iteration it joins — on every partition holding
+// the edge, since the boundary exchange delivers the join to all of them),
+// and newly[e] is false for every edge outside liveE (cleared exactly once,
 // when the edge is dropped from the list).
 //
 // Barriers: an iteration synchronizes twice, not three times. The vertex
@@ -50,12 +59,13 @@ import (
 // timed parallel-fors so per-phase durations stay observable — same
 // arithmetic, same results, one more barrier.
 //
-// State and scratch live in a pooled arena (arena.go): a warm solve — in
-// particular every residual re-solve of a Session — performs no per-slice
-// allocations. Worker goroutines are started per solve from pooled
-// scaffolding and stopped before the solver is released; tokens, not
-// closures, cross the dispatch channel, keeping the steady state
-// allocation-free.
+// State and scratch live in an arena (arena.go). Whole-instance solves take
+// it from a pool, so a warm solve — in particular every residual re-solve
+// of a Session — performs no per-slice allocations; partition runs carve a
+// fresh one and use one worker. Worker goroutines are started per solve
+// from pooled scaffolding and stopped before the solver is released;
+// tokens, not closures, cross the dispatch channel, keeping the steady
+// state allocation-free.
 //
 // Exact (big.Rat) runs are routed to the sequential runner by RunFlat:
 // rational arithmetic is allocation-bound rather than memory-bound, and the
@@ -121,17 +131,30 @@ const (
 	flatChunksPerWorker = 4
 )
 
-// flatRun is the parallel scaffolding around the shared solver state. It is
-// pooled inside floatSolver (arena.go); sticky fields (work channel, loopFn,
-// partStats) survive across solves, everything else is reinitialized per
-// run.
+// flatRun is the frontier runner's scaffolding around the solver state. It
+// lives inside floatSolver (arena.go); sticky fields (work channel, loopFn,
+// partStats) survive across pooled solves, everything else is
+// reinitialized per run. The partition fields are set only on the fresh
+// solvers of partition runs, so pooled whole-instance solvers never carry
+// an exchanger.
 type flatRun struct {
 	st      *state[float64]
 	workers int
 
-	// Frontier lists: activeV holds the vertices with doneV false, liveE
-	// the uncovered edges, both ascending, both compacted in place at the
-	// end of each iteration.
+	// Owned vertex range: the vertices this run advances, reports and
+	// checks. The whole instance [0, n) without an exchanger.
+	lo, hi int
+
+	// Partition runs only: the exchanger, this run's partition index in the
+	// plan, and the reusable boundary frame (partition.go).
+	ex     Exchanger
+	part   int
+	bounds []int
+	frame  []BoundaryState
+
+	// Frontier lists: activeV holds the owned vertices with doneV false,
+	// liveE the uncovered local edges, both ascending, both compacted in
+	// place at the end of each iteration.
 	activeV []int
 	liveE   []int
 
@@ -166,29 +189,41 @@ type flatRun struct {
 	chunkNS []int64
 }
 
-// runLockstepFlat mirrors runLockstep phase for phase; see that function
-// for the algorithm commentary. Only the float64 path exists: the flat
-// engine is the production fast path, and exact runs go sequential.
+// runLockstepFlat runs the frontier runner over the whole instance on a
+// pooled solver. Only the float64 path exists: the flat engine is the
+// production fast path, and exact runs go sequential.
 func runLockstepFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, workers int) (*Result, error) {
-	n, m := g.NumVertices(), g.NumEdges()
-	f := g.Rank()
-	eps := opts.Epsilon
+	n := g.NumVertices()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if max := maxInt(n, 1); workers > max {
 		workers = max
 	}
-
 	s := floatSolverPool.Get().(*floatSolver)
-	st := s.initState(g, opts, true)
+	defer s.finishFlat()
+	r := s.bind(g, opts, 0, n, g.NumEdges(), workers)
+	res, err := r.run(carry)
+	if err != nil {
+		return nil, err
+	}
+	r.st.fill(res)
+	return res, nil
+}
+
+// bind prepares s for one solve of g over the owned vertex range [lo, hi)
+// with nLive local edges (all m for the whole instance): it carves the
+// state, the per-edge scratch and the frontier lists out of the arena and
+// starts workers-1 helper goroutines.
+func (s *floatSolver) bind(g *hypergraph.Hypergraph, opts Options, lo, hi, nLive, workers int) *flatRun {
+	m := g.NumEdges()
+	st := s.initState(g, opts, m, hi-lo+nLive, m)
 	r := &s.run
-	r.st = st
-	r.workers = workers
+	r.st, r.workers, r.lo, r.hi = st, workers, lo, hi
 	r.addE = s.arena.f64(m)
 	r.newly = s.arena.boolsZero(m)
-	r.activeV = s.arena.intsRaw(n)[:0]
-	r.liveE = s.arena.intsRaw(m)[:0]
+	r.activeV = s.arena.intsRaw(hi - lo)[:0]
+	r.liveE = s.arena.intsRaw(nLive)[:0]
 	maxTasks := maxInt(workers*flatChunksPerWorker, 1)
 	if cap(r.partStats) < maxTasks {
 		r.partStats = make([]IterationStats, maxTasks)
@@ -200,7 +235,32 @@ func runLockstepFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, wo
 		r.chunkNS = nil
 	}
 	r.startWorkers()
-	defer s.finishFlat()
+	return r
+}
+
+// hasMemberIn reports whether the edge with vertex list vs has a member in
+// [lo, hi) — whether the edge is local to that range.
+func hasMemberIn(vs []hypergraph.VertexID, lo, hi int) bool {
+	for _, v := range vs {
+		if int(v) >= lo && int(v) < hi {
+			return true
+		}
+	}
+	return false
+}
+
+// run executes the solve over the bound range; it mirrors runLockstep
+// phase for phase (see that function for the algorithm commentary). It
+// returns the run parameters, the iteration count and the trace; the
+// caller reads the cover and duals off the state. With an exchanger the
+// loop ends on the global uncovered count the coverage exchange rebuilds
+// identically on every partition.
+func (r *flatRun) run(carry []float64) (*Result, error) {
+	st := r.st
+	g, opts := st.g, st.opts
+	n, m := g.NumVertices(), g.NumEdges()
+	f := g.Rank()
+	eps := opts.Epsilon
 
 	globalAlpha := st.resolveAlphas(f, eps)
 	maxIter := opts.MaxIterations
@@ -215,23 +275,28 @@ func runLockstepFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, wo
 	if tr != nil {
 		t0 = time.Now()
 	}
+	le := r.liveE
+	for e := 0; e < m; e++ {
+		if hasMemberIn(g.Edge(hypergraph.EdgeID(e)), r.lo, r.hi) {
+			le = append(le, e)
+		}
+	}
+	r.liveE = le
+	// Every vertex is seeded, not only the owned ones: a warm start derives
+	// the levels of the out-of-range members of local edges, which feed
+	// their iteration-0 bids.
 	r.carry = carry
 	r.dispatch(fpInitVertex, r.grid(n), 0)
-	r.dispatch(fpInitEdge, r.grid(m), 0)
-	r.dispatch(fpInitGather, r.grid(n), 0)
+	r.dispatch(fpInitEdge, r.grid(len(r.liveE)), 0)
+	r.dispatch(fpInitGather, r.grid(r.hi-r.lo), 0)
 	r.carry = nil
 	av := r.activeV
-	for v := 0; v < n; v++ {
+	for v := r.lo; v < r.hi; v++ {
 		if !st.doneV[v] {
 			av = append(av, v)
 		}
 	}
 	r.activeV = av
-	le := r.liveE
-	for e := 0; e < m; e++ {
-		le = append(le, e)
-	}
-	r.liveE = le
 	if tr != nil {
 		tr.Phase(0, telemetry.PhaseInit, time.Since(t0), r.maxChunkDur())
 	}
@@ -265,6 +330,13 @@ func runLockstepFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, wo
 		}
 		if tr != nil {
 			tr.Phase(res.Iterations, telemetry.PhaseVertex, time.Since(t0), r.maxChunkDur())
+		}
+		if r.ex != nil {
+			if err := r.exchangeBoundary(res.Iterations); err != nil {
+				return nil, err
+			}
+		}
+		if tr != nil {
 			t0 = time.Now()
 		}
 		if flatEdgeVisits != nil {
@@ -284,11 +356,18 @@ func runLockstepFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, wo
 			p := &r.partStats[c]
 			its.CoveredEdges += p.CoveredEdges
 			its.RaisedEdges += p.RaisedEdges
-			st.uncovered -= p.CoveredEdges
 		}
+		covered := its.CoveredEdges
+		if r.ex != nil {
+			var err error
+			if covered, err = r.exchangeCoverage(res.Iterations, covered); err != nil {
+				return nil, err
+			}
+		}
+		st.uncovered -= covered
 		r.compactFrontiers()
 		if opts.CheckInvariants {
-			if err := st.checkInvariants(res.Iterations, res.Z); err != nil {
+			if err := st.checkInvariants(res.Iterations, res.Z, r.lo, r.hi); err != nil {
 				return nil, err
 			}
 		}
@@ -298,7 +377,6 @@ func runLockstepFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, wo
 			res.Trace = append(res.Trace, its)
 		}
 	}
-	st.fill(res)
 	return res, nil
 }
 
@@ -447,11 +525,11 @@ func (r *flatRun) runChunk(c int) {
 		lo, hi := gridRange(r.st.g.NumVertices(), r.tasks, c)
 		r.initVertexRange(lo, hi)
 	case fpInitEdge:
-		lo, hi := gridRange(r.st.g.NumEdges(), r.tasks, c)
+		lo, hi := gridRange(len(r.liveE), r.tasks, c)
 		r.initEdgeRange(lo, hi)
 	case fpInitGather:
-		lo, hi := gridRange(r.st.g.NumVertices(), r.tasks, c)
-		r.initGatherRange(lo, hi)
+		lo, hi := gridRange(r.hi-r.lo, r.tasks, c)
+		r.initGatherRange(r.lo+lo, r.lo+hi)
 	case fpVertex:
 		lo, hi := gridRange(len(r.activeV), r.tasks, c)
 		r.vertexRange(lo, hi, &r.partStats[c])
@@ -530,13 +608,14 @@ func (r *flatRun) initVertexRange(lo, hi int) {
 	}
 }
 
-// initEdgeRange computes the iteration-0 bids of edges [lo,hi): the second
-// loop of state.initIterationZero.
+// initEdgeRange computes the iteration-0 bids of the local edges in
+// frontier positions [lo,hi): the second loop of state.initIterationZero.
+// A cut edge gets the same bid on every partition holding it.
 func (r *flatRun) initEdgeRange(lo, hi int) {
 	st, g := r.st, r.st.g
 	num := st.num
 	carry := r.carry
-	for e := lo; e < hi; e++ {
+	for _, e := range r.liveE[lo:hi] {
 		vs := g.Edge(hypergraph.EdgeID(e))
 		ve := vs[0]
 		var b float64
@@ -623,7 +702,10 @@ func (r *flatRun) vertexRange(lo, hi int, part *IterationStats) {
 // in frontier positions [lo,hi): each decides covered-vs-live, halves and
 // raises its bid, and records its dual increment in addE for the gather
 // half. Only live edges are visited — the covered test (and the dead
-// newly[e] reset) of the pre-frontier runner is gone.
+// newly[e] reset) of the pre-frontier runner is gone. A newly covered edge
+// is counted only by its owner, the range holding its minimum vertex vs[0]
+// (a local edge has a member below hi, so vs[0] ≥ lo means ownership), so
+// cut edges replicated on several partitions are counted once.
 func (r *flatRun) edgeRange(lo, hi int, part *IterationStats) {
 	st, g := r.st, r.st.g
 	num := st.num
@@ -645,7 +727,9 @@ func (r *flatRun) edgeRange(lo, hi int, part *IterationStats) {
 		if nowCovered {
 			st.covered[e] = true
 			r.newly[e] = true
-			part.CoveredEdges++
+			if int(vs[0]) >= r.lo {
+				part.CoveredEdges++
+			}
 			continue
 		}
 		if halvings > 0 {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"distcover/internal/hypergraph"
 )
 
 // ErrInvariantViolated is returned when Options.CheckInvariants detects a
@@ -15,7 +17,8 @@ var ErrInvariantViolated = errors.New("core: invariant violated")
 // mode checks with zero tolerance.
 const invariantTolerance = 1e-9
 
-// checkInvariants verifies, at the end of an iteration:
+// checkInvariants verifies, at the end of an iteration, for the vertices
+// of [lo, hi) and the edges they own (minimum vertex in the range):
 //
 //	Claim 1: for every active vertex, Σ_{e∈E'(v)} bid(e) ≤ 2^{-(ℓ(v)+1)}·w(v)
 //	Claim 2: the duals are a feasible edge packing: Σ_{e∈E(v)} δ(e) ≤ w(v)
@@ -24,9 +27,12 @@ const invariantTolerance = 1e-9
 //	Claim 4: ℓ(v) < z (exact mode; float mode allows ℓ(v) ≤ z for boundary
 //	         rounding)
 //
-// The checks run in the same arithmetic as the algorithm; float64 mode
-// allows a relative tolerance.
-func (st *state[T]) checkInvariants(iteration, z int) error {
+// Whole-instance runs pass [0, n); a partition passes its own range, where
+// its aggregates are authoritative, so the partitions of a plan together
+// check every vertex and every edge exactly once. The checks run in the
+// same arithmetic as the algorithm; float64 mode allows a relative
+// tolerance.
+func (st *state[T]) checkInvariants(iteration, z, lo, hi int) error {
 	num := st.num
 	exact := num.IntegerAlpha()
 	leq := func(a, b T) bool {
@@ -39,7 +45,7 @@ func (st *state[T]) checkInvariants(iteration, z int) error {
 		fa, fb := num.Float(a), num.Float(b)
 		return fa <= fb*(1+invariantTolerance)+invariantTolerance
 	}
-	for v := 0; v < st.g.NumVertices(); v++ {
+	for v := lo; v < hi; v++ {
 		// Claim 2, packing side: holds for every vertex, terminated or not.
 		if !leq(st.sumDelta[v], st.wT[v]) {
 			return fmt.Errorf("%w: iteration %d vertex %d: Σδ = %g > w = %g (Claim 2)",
@@ -75,12 +81,14 @@ func (st *state[T]) checkInvariants(iteration, z int) error {
 			}
 		}
 	}
-	// Dual non-negativity (Claim 2).
+	// Dual non-negativity (Claim 2) of the owned edges.
 	zero := num.Zero()
-	for e := 0; e < st.g.NumEdges(); e++ {
-		if num.Cmp(st.delta[e], zero) < 0 {
-			return fmt.Errorf("%w: iteration %d edge %d: δ = %g < 0",
-				ErrInvariantViolated, iteration, e, num.Float(st.delta[e]))
+	for v := lo; v < hi; v++ {
+		for _, e := range st.g.Incident(hypergraph.VertexID(v)) {
+			if int(st.g.Edge(e)[0]) == v && num.Cmp(st.delta[e], zero) < 0 {
+				return fmt.Errorf("%w: iteration %d edge %d: δ = %g < 0",
+					ErrInvariantViolated, iteration, e, num.Float(st.delta[e]))
+			}
 		}
 	}
 	return nil

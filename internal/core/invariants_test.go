@@ -117,7 +117,10 @@ func TestInvariantsPropertyFloat(t *testing.T) {
 
 // TestCheckerDetectsCorruption corrupts runner state directly and asserts
 // every class of violation is caught — the checker itself is load-bearing
-// for the other tests, so it must not silently pass on bad state.
+// for the other tests, so it must not silently pass on bad state. The
+// ranged rows check a partition's view: a violation is reported by the
+// range owning the corrupted vertex (or the edge's minimum vertex), and
+// only by it.
 func TestCheckerDetectsCorruption(t *testing.T) {
 	g := hypergraph.MustNew([]int64{4, 4, 4},
 		[][]hypergraph.VertexID{{0, 1}, {1, 2}})
@@ -151,25 +154,43 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 	tests := []struct {
 		name    string
 		corrupt func(*state[float64])
+		lo, hi  int  // checked vertex range; 0, 0 means the whole instance
+		outside bool // the corruption lies outside the range: must pass
 	}{
-		{"packing violation", func(st *state[float64]) { st.sumDelta[1] = 5 }},
-		{"bid-sum violation", func(st *state[float64]) { st.sumBid[0] = 3 }},
-		{"level cap violation", func(st *state[float64]) { st.level[2] = 99 }},
-		{"negative dual", func(st *state[float64]) { st.delta[0] = -1 }},
-		{"level floor violation", func(st *state[float64]) {
+		{name: "packing violation", corrupt: func(st *state[float64]) { st.sumDelta[1] = 5 }},
+		{name: "bid-sum violation", corrupt: func(st *state[float64]) { st.sumBid[0] = 3 }},
+		{name: "level cap violation", corrupt: func(st *state[float64]) { st.level[2] = 99 }},
+		{name: "negative dual", corrupt: func(st *state[float64]) { st.delta[0] = -1 }},
+		{name: "level floor violation", corrupt: func(st *state[float64]) {
 			st.level[0] = 1
 			st.sumDelta[0] = 0.1 // far below w(1-1/2) = 2
 		}},
+		{name: "packing violation in range", corrupt: func(st *state[float64]) { st.sumDelta[1] = 5 }, lo: 1, hi: 3},
+		{name: "packing violation out of range", corrupt: func(st *state[float64]) { st.sumDelta[1] = 5 }, lo: 0, hi: 1, outside: true},
+		{name: "level cap violation in range", corrupt: func(st *state[float64]) { st.level[2] = 99 }, lo: 2, hi: 3},
+		{name: "level cap violation out of range", corrupt: func(st *state[float64]) { st.level[2] = 99 }, lo: 0, hi: 2, outside: true},
+		// Edge 0 = {0, 1} is owned by the range holding vertex 0; the range
+		// holding only its other member must not report it.
+		{name: "negative owned dual", corrupt: func(st *state[float64]) { st.delta[0] = -1 }, lo: 0, hi: 1},
+		{name: "negative dual owned elsewhere", corrupt: func(st *state[float64]) { st.delta[0] = -1 }, lo: 1, hi: 3, outside: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			lo, hi := tt.lo, tt.hi
+			if hi == 0 {
+				hi = g.NumVertices()
+			}
 			st := fresh()
-			if err := st.checkInvariants(1, ZLevels(2, 1)); err != nil {
+			if err := st.checkInvariants(1, ZLevels(2, 1), lo, hi); err != nil {
 				t.Fatalf("clean state flagged: %v", err)
 			}
 			tt.corrupt(st)
-			if err := st.checkInvariants(1, ZLevels(2, 1)); !errors.Is(err, ErrInvariantViolated) {
-				t.Errorf("corruption not detected: %v", err)
+			err := st.checkInvariants(1, ZLevels(2, 1), lo, hi)
+			switch {
+			case tt.outside && err != nil:
+				t.Errorf("corruption outside [%d, %d) reported: %v", lo, hi, err)
+			case !tt.outside && !errors.Is(err, ErrInvariantViolated):
+				t.Errorf("corruption in [%d, %d) not detected: %v", lo, hi, err)
 			}
 		})
 	}

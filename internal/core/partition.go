@@ -11,10 +11,13 @@ import (
 	"distcover/internal/telemetry"
 )
 
-// This file implements the partitioned runner behind multi-process cover
-// clusters (internal/cluster, distcover.ClusterSolve): Algorithm MWHVC over
-// one contiguous vertex range of the CSR layout, synchronized with the
-// other partitions only through per-iteration boundary exchanges.
+// This file holds the partition side of multi-process cover clusters
+// (internal/cluster, distcover.ClusterSolve) and in-process partitioned
+// solves (RunPartitioned): Algorithm MWHVC over one contiguous vertex range
+// of the CSR layout, synchronized with the other partitions only through
+// per-iteration exchanges. The phases themselves are the frontier runner's
+// (flat.go), bound to the range and an Exchanger; this file adds the plan,
+// the boundary frames and the assembly of the partitions' shares.
 //
 // The decomposition exploits the locality the paper's lockstep algorithm
 // already has. An iteration is three phases:
@@ -29,27 +32,27 @@ import (
 // iteration: the vertex-phase outputs of the boundary vertices it shares
 // edges with (exchanged after the vertex phase), and the global count of
 // newly covered edges for the termination test (exchanged after the edge
-// phase — the same 2-exchanges-per-iteration cadence as the CONGEST
-// protocol's 2 rounds). Every cut edge is replicated on each partition that
-// holds one of its members and evolves identically on all of them, because
-// its bid/dual updates are a deterministic function of the exchanged
-// vertex-phase outputs; the dual is reported once, by the partition owning
-// the edge's first (minimum) vertex.
+// and gather phases — the same 2-exchanges-per-iteration cadence as the
+// CONGEST protocol's 2 rounds). Every cut edge is replicated on each
+// partition that holds one of its members and evolves identically on all
+// of them, because its bid/dual updates are a deterministic function of
+// the exchanged vertex-phase outputs; the edge is counted and its dual
+// reported once, by the partition owning its first (minimum) vertex.
 //
 // Bit-identity: every float operation a partition performs per vertex and
-// per edge is the one the flat runner performs, in the same order — the
-// gather accumulates incident edges ascending, the init seeds aggregates
-// ascending — so AssembleParts reconstructs a Result bit-identical to
-// RunFlat (and therefore to runLockstep and every CONGEST engine). The
-// partition equivalence tests enforce this for 1..4 partitions, cold and
-// warm starts alike.
+// per edge is the one the whole-instance run performs, in the same order,
+// so AssembleParts reconstructs a Result bit-identical to RunFlat (and
+// therefore to runLockstep and every CONGEST engine). The partition
+// equivalence tests enforce this for 1..8 partitions, cold and warm starts
+// alike, with the invariants checked inside every partition.
 //
 // Exact (big.Rat) arithmetic is not supported: rationals have no canonical
 // compact wire form, and the exact path exists for verification, not
 // distribution.
 
 // ErrPartitionOptions rejects configurations the partitioned runner cannot
-// honor (exact arithmetic, malformed partition plans).
+// honor (exact arithmetic, malformed partition plans) and exchanged data
+// the plan does not explain.
 var ErrPartitionOptions = errors.New("core: invalid partition configuration")
 
 // BoundaryState is one boundary vertex's per-iteration vertex-phase output:
@@ -70,8 +73,9 @@ type BoundaryFrame struct {
 
 // Exchanger synchronizes a partition with its peers once per phase pair.
 // Implementations must deliver every partition's frame (own included) in
-// ascending partition order; internal/cluster implements it over framed TCP
-// through the coordinator, and tests implement it over channels.
+// ascending partition order — the runner fails the iteration otherwise;
+// internal/cluster implements it over framed TCP through the coordinator,
+// MemExchangerGroup over shared memory.
 type Exchanger interface {
 	// ExchangeBoundary publishes this partition's boundary vertex states for
 	// the iteration and returns all partitions' frames.
@@ -137,26 +141,6 @@ func validateBounds(g *hypergraph.Hypergraph, bounds []int, part int) error {
 	return nil
 }
 
-// partitionRun is the per-partition working memory around the shared solver
-// state. Arrays are full-size and indexed by global vertex/edge id; only the
-// partition's own range and its local (incident) edges are ever touched,
-// plus the level/inc/joined/raise entries of received boundary vertices.
-type partitionRun struct {
-	st     *state[float64]
-	bounds []int
-	part   int
-	lo, hi int
-
-	localEdges []int32 // edges with ≥1 member in [lo, hi), ascending
-	ownedEdges []int32 // subset owned by this partition (min vertex in range)
-	boundary   []int32 // own vertices appearing in cut edges, ascending
-
-	addE  []float64 // per local edge: this iteration's dual increment
-	newly []bool    // per local edge: became covered this iteration
-
-	frame []BoundaryState // reusable boundary frame storage
-}
-
 // RunPartition executes this partition's share of Algorithm MWHVC over g.
 // Every partition must run the same g, opts, carry and bounds (the
 // coordinator ships them in one setup frame); ex synchronizes the
@@ -178,246 +162,103 @@ func RunPartition(g *hypergraph.Hypergraph, opts Options, carry []float64, bound
 			return nil, err
 		}
 	}
-	f := g.Rank()
-	eps := opts.Epsilon
-	st := newState(floatNumeric{}, g, opts)
-	r := &partitionRun{
-		st:     st,
-		bounds: bounds,
-		part:   part,
-		lo:     bounds[part],
-		hi:     bounds[part+1],
+	lo, hi := bounds[part], bounds[part+1]
+	local := 0
+	for e := 0; e < g.NumEdges(); e++ {
+		if hasMemberIn(g.Edge(hypergraph.EdgeID(e)), lo, hi) {
+			local++
+		}
 	}
-	r.index(g)
-
-	globalAlpha := st.resolveAlphas(f, eps)
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = defaultIterationCap(f, eps, g.MaxDegree(), globalAlpha)
+	// A fresh solver, not the pool: its arena is sized to this range and
+	// its local edges and dropped with the run.
+	s := new(floatSolver)
+	r := s.bind(g, opts, lo, hi, local, 1)
+	r.ex, r.part, r.bounds = ex, part, bounds
+	r.frame = boundaryFrame(g, lo, hi)
+	res, err := r.run(carry)
+	if err != nil {
+		return nil, err
 	}
+	return r.partial(res), nil
+}
 
-	// Telemetry hooks: tr is nil on the default path, where the only cost
-	// is the nil tests. The exchange waits are recorded with peer "" —
-	// from a partition's view the one peer is the coordinator.
-	tr := opts.Tracer
+// boundaryFrame returns the frame storage for the vertices of [lo, hi) that
+// share an edge with another partition, ascending; fillFrame refreshes
+// their states every iteration. An edge crosses the range exactly when its
+// ascending vertex list starts below lo or ends at or past hi.
+func boundaryFrame(g *hypergraph.Hypergraph, lo, hi int) []BoundaryState {
+	onCut := func(v int) bool {
+		for _, e := range g.Incident(hypergraph.VertexID(v)) {
+			if vs := g.Edge(e); int(vs[0]) < lo || int(vs[len(vs)-1]) >= hi {
+				return true
+			}
+		}
+		return false
+	}
+	count := 0
+	for v := lo; v < hi; v++ {
+		if onCut(v) {
+			count++
+		}
+	}
+	frame := make([]BoundaryState, 0, count)
+	for v := lo; v < hi; v++ {
+		if onCut(v) {
+			frame = append(frame, BoundaryState{V: int32(v)})
+		}
+	}
+	return frame
+}
+
+// exchangeBoundary publishes the boundary vertices' vertex-phase outputs
+// and folds the other partitions' into the local arrays. The wait is
+// traced with peer "" — from a partition's view the one peer is the
+// coordinator.
+func (r *flatRun) exchangeBoundary(iteration int) error {
+	tr := r.st.opts.Tracer
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	r.initIterationZero(carry)
+	frames, err := r.ex.ExchangeBoundary(iteration, BoundaryFrame{Part: r.part, States: r.fillFrame()})
+	if err != nil {
+		return err
+	}
 	if tr != nil {
-		tr.Phase(0, telemetry.PhaseInit, time.Since(t0), 0)
+		tr.Exchange("", telemetry.ExchangeBoundary, iteration, time.Since(t0))
 	}
-
-	res := &PartialResult{
-		Part:    part,
-		Z:       ZLevels(f, eps),
-		Alpha:   globalAlpha,
-		Epsilon: eps,
-	}
-	// Termination is decided on the global uncovered count, reconstructed
-	// identically on every partition from the per-iteration coverage
-	// exchange; st.uncovered is unused on this path.
-	uncovered := g.NumEdges()
-	for uncovered > 0 {
-		if res.Iterations >= maxIter {
-			return nil, fmt.Errorf("%w: %d iterations, %d edges uncovered",
-				ErrIterationLimit, res.Iterations, uncovered)
-		}
-		res.Iterations++
-		if tr != nil {
-			t0 = time.Now()
-		}
-		r.vertexPhase()
-		if tr != nil {
-			tr.Phase(res.Iterations, telemetry.PhaseVertex, time.Since(t0), 0)
-			t0 = time.Now()
-		}
-		frames, err := ex.ExchangeBoundary(res.Iterations, BoundaryFrame{Part: part, States: r.fillFrame()})
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.Exchange("", telemetry.ExchangeBoundary, res.Iterations, time.Since(t0))
-		}
-		if err := r.applyFrames(frames); err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			t0 = time.Now()
-		}
-		coveredOwned := r.edgePhase()
-		if tr != nil {
-			tr.Phase(res.Iterations, telemetry.PhaseEdge, time.Since(t0), 0)
-			t0 = time.Now()
-		}
-		r.gatherPhase()
-		if tr != nil {
-			tr.Phase(res.Iterations, telemetry.PhaseGather, time.Since(t0), 0)
-			t0 = time.Now()
-		}
-		total, err := ex.ExchangeCoverage(res.Iterations, coveredOwned)
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.Exchange("", telemetry.ExchangeCoverage, res.Iterations, time.Since(t0))
-		}
-		if total < coveredOwned || total > uncovered {
-			return nil, fmt.Errorf("%w: coverage total %d out of range (own %d, uncovered %d)",
-				ErrPartitionOptions, total, coveredOwned, uncovered)
-		}
-		uncovered -= total
-	}
-	r.fill(res)
-	return res, nil
+	return r.applyFrames(frames)
 }
 
-// index derives the partition's local/owned edge lists and boundary vertex
-// set from the CSR arrays. All three are ascending by construction: edges
-// are visited in id order and boundary vertices collected range-ascending.
-func (r *partitionRun) index(g *hypergraph.Hypergraph) {
-	m := g.NumEdges()
-	isBoundary := make([]bool, r.hi-r.lo)
-	for e := 0; e < m; e++ {
-		vs := g.Edge(hypergraph.EdgeID(e))
-		local, cut := false, false
-		for _, v := range vs {
-			if int(v) >= r.lo && int(v) < r.hi {
-				local = true
-			} else {
-				cut = true
-			}
-		}
-		if !local {
-			continue
-		}
-		r.localEdges = append(r.localEdges, int32(e))
-		// Edge vertex lists are sorted ascending (hypergraph invariant), so
-		// vs[0] is the minimum vertex and ownership is well defined.
-		if int(vs[0]) >= r.lo && int(vs[0]) < r.hi {
-			r.ownedEdges = append(r.ownedEdges, int32(e))
-		}
-		if cut {
-			for _, v := range vs {
-				if int(v) >= r.lo && int(v) < r.hi {
-					isBoundary[int(v)-r.lo] = true
-				}
-			}
-		}
+// exchangeCoverage publishes how many owned edges this partition newly
+// covered in the iteration and returns the global total.
+func (r *flatRun) exchangeCoverage(iteration, covered int) (int, error) {
+	tr := r.st.opts.Tracer
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
 	}
-	for i, b := range isBoundary {
-		if b {
-			r.boundary = append(r.boundary, int32(r.lo+i))
-		}
+	total, err := r.ex.ExchangeCoverage(iteration, covered)
+	if err != nil {
+		return 0, err
 	}
-	r.addE = make([]float64, m)
-	r.newly = make([]bool, m)
-	r.frame = make([]BoundaryState, len(r.boundary))
-}
-
-// initIterationZero mirrors the flat runner's iteration 0 restricted to the
-// partition: levels are derived from the carry for every vertex (boundary
-// neighbors' levels feed the warm bid rule), aggregates are seeded for the
-// own range only, and initial bids are computed for every local edge —
-// identically on each partition that replicates the edge.
-func (r *partitionRun) initIterationZero(carry []float64) {
-	st := r.st
-	g, num := st.g, st.num
-	f := maxInt(g.Rank(), 1)
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		w := g.Weight(hypergraph.VertexID(v))
-		st.wT[v] = float64(w)
-		if carry != nil {
-			st.sumDelta[v] = carry[v]
-			for num.Add(st.sumDelta[v], num.HalfPow(st.wT[v], st.level[v]+1)) > st.wT[v] {
-				st.level[v]++
-			}
-		}
-		if v < r.lo || v >= r.hi {
-			continue
-		}
-		st.fWT[v] = float64(w * int64(f))
-		st.sumBid[v] = 0
-		st.uncovDeg[v] = g.Degree(hypergraph.VertexID(v))
-		if st.uncovDeg[v] == 0 {
-			st.doneV[v] = true
-		}
+	if tr != nil {
+		tr.Exchange("", telemetry.ExchangeCoverage, iteration, time.Since(t0))
 	}
-	for _, e32 := range r.localEdges {
-		vs := g.Edge(hypergraph.EdgeID(e32))
-		ve := vs[0]
-		var b float64
-		if carry == nil {
-			for _, v := range vs[1:] {
-				// argmin w(v)/|E(v)| with deterministic tie-break on lower
-				// id, compared in exact integers (see runner.go).
-				if g.Weight(v)*int64(g.Degree(ve)) < g.Weight(ve)*int64(g.Degree(v)) {
-					ve = v
-				}
-			}
-			b = num.FromRatio(g.Weight(ve), 2*int64(g.Degree(ve)))
-		} else {
-			best := num.HalfPow(num.FromRatio(g.Weight(ve), int64(g.Degree(ve))), st.level[ve])
-			for _, v := range vs[1:] {
-				cand := num.HalfPow(num.FromRatio(g.Weight(v), int64(g.Degree(v))), st.level[v])
-				if cand < best {
-					ve, best = v, cand
-				}
-			}
-			b = num.HalfPow(num.FromRatio(g.Weight(ve), 2*int64(g.Degree(ve))), st.level[ve])
-		}
-		st.bid[e32] = b
-		st.delta[e32] = b
+	if total < covered || total > r.st.uncovered {
+		return 0, fmt.Errorf("%w: coverage total %d out of range (own %d, uncovered %d)",
+			ErrPartitionOptions, total, covered, r.st.uncovered)
 	}
-	for v := r.lo; v < r.hi; v++ {
-		for _, e := range g.Incident(hypergraph.VertexID(v)) {
-			st.sumDelta[v] = num.Add(st.sumDelta[v], st.bid[e])
-			st.sumBid[v] = num.Add(st.sumBid[v], st.bid[e])
-		}
-	}
-}
-
-// vertexPhase is the flat runner's vertex phase over the own range.
-func (r *partitionRun) vertexPhase() {
-	st := r.st
-	num := st.num
-	for v := r.lo; v < r.hi; v++ {
-		st.inc[v] = 0
-		st.joined[v] = false
-		if st.doneV[v] {
-			continue
-		}
-		if num.Cmp(num.Mul(st.sumDelta[v], st.fPlusEps), st.fWT[v]) >= 0 {
-			st.inCover[v] = true
-			st.joined[v] = true
-			st.doneV[v] = true
-			continue
-		}
-		for num.Cmp(num.Add(st.sumDelta[v], num.HalfPow(st.wT[v], st.level[v]+1)), st.wT[v]) > 0 {
-			st.level[v]++
-			st.inc[v]++
-		}
-		if st.inc[v] > 0 {
-			st.stuckCur[v] = 0
-		}
-		view := num.HalfPow(st.sumBid[v], st.inc[v])
-		if num.Cmp(num.Mul(st.alphaV[v], view), num.HalfPow(st.wT[v], st.level[v]+1)) <= 0 {
-			st.raise[v] = true
-		} else {
-			st.raise[v] = false
-			st.stuckCur[v]++
-		}
-	}
+	return total, nil
 }
 
 // fillFrame snapshots the boundary vertices' vertex-phase outputs. Every
 // boundary vertex is sent every iteration — including retired ones, whose
-// flags no live edge will read — so receivers never hold stale increments.
-func (r *partitionRun) fillFrame() []BoundaryState {
+// flags no live edge will read — so receivers never hold stale levels.
+func (r *flatRun) fillFrame() []BoundaryState {
 	st := r.st
-	for i, v := range r.boundary {
+	for i := range r.frame {
+		v := r.frame[i].V
 		r.frame[i] = BoundaryState{
 			V:      v,
 			Level:  int32(st.level[v]),
@@ -430,19 +271,29 @@ func (r *partitionRun) fillFrame() []BoundaryState {
 
 // applyFrames folds the other partitions' boundary states into the local
 // level/inc/joined/raise arrays; the level increment is the difference
-// against the level held from the previous iteration.
-func (r *partitionRun) applyFrames(frames []BoundaryFrame) error {
+// against the level held from the previous iteration. The frames must be
+// the plan's partitions in ascending order, and each may only report
+// vertices of its sender's range: anything else would overwrite state this
+// partition owns (or that no peer owns) and is rejected.
+func (r *flatRun) applyFrames(frames []BoundaryFrame) error {
 	st := r.st
-	n := int32(st.g.NumVertices())
-	for _, fr := range frames {
-		if fr.Part == r.part {
+	if len(frames) != len(r.bounds)-1 {
+		return fmt.Errorf("%w: %d boundary frames for %d partitions",
+			ErrPartitionOptions, len(frames), len(r.bounds)-1)
+	}
+	for p, fr := range frames {
+		if fr.Part != p {
+			return fmt.Errorf("%w: boundary frame %d labelled partition %d", ErrPartitionOptions, p, fr.Part)
+		}
+		if p == r.part {
 			continue
 		}
 		for _, bs := range fr.States {
-			if bs.V < 0 || bs.V >= n {
-				return fmt.Errorf("%w: boundary vertex %d out of range", ErrPartitionOptions, bs.V)
-			}
 			v := int(bs.V)
+			if v < r.bounds[p] || v >= r.bounds[p+1] {
+				return fmt.Errorf("%w: partition %d sent vertex %d outside its range [%d, %d)",
+					ErrPartitionOptions, p, v, r.bounds[p], r.bounds[p+1])
+			}
 			inc := int(bs.Level) - st.level[v]
 			if inc < 0 {
 				return fmt.Errorf("%w: vertex %d level regressed %d -> %d",
@@ -457,121 +308,49 @@ func (r *partitionRun) applyFrames(frames []BoundaryFrame) error {
 	return nil
 }
 
-// edgePhase is the flat runner's edge phase over the local edges; it
-// returns how many owned edges became covered this iteration (the
-// partition's contribution to the global termination count). Cut edges are
-// processed identically on every partition that replicates them.
-func (r *partitionRun) edgePhase() int {
-	st := r.st
-	g, num := st.g, st.num
-	coveredOwned := 0
-	owned := r.ownedEdges
-	for _, e32 := range r.localEdges {
-		e := int(e32)
-		if st.covered[e] {
-			r.newly[e] = false
-			continue
-		}
-		vs := g.Edge(hypergraph.EdgeID(e))
-		nowCovered := false
-		halvings := 0
-		allRaise := true
-		for _, v := range vs {
-			if st.joined[v] {
-				nowCovered = true
-			}
-			halvings += st.inc[v]
-			if !st.raise[v] {
-				allRaise = false
-			}
-		}
-		if nowCovered {
-			st.covered[e] = true
-			r.newly[e] = true
-			for len(owned) > 0 && owned[0] < e32 {
-				owned = owned[1:]
-			}
-			if len(owned) > 0 && owned[0] == e32 {
-				coveredOwned++
-			}
-			continue
-		}
-		if halvings > 0 {
-			st.bid[e] = num.HalfPow(st.bid[e], halvings)
-		}
-		if allRaise {
-			st.bid[e] = num.Mul(st.bid[e], st.alphaE[e])
-		}
-		add := st.bid[e]
-		if st.opts.Variant == VariantSingleLevel {
-			add = num.HalfPow(add, 1)
-		}
-		st.delta[e] = num.Add(st.delta[e], add)
-		r.addE[e] = add
-	}
-	return coveredOwned
-}
-
-// gatherPhase is the flat runner's gather over the own range: newly covered
-// incident edges retire, live ones contribute their dual increment and bid
-// in ascending edge id — the sequential scatter order.
-func (r *partitionRun) gatherPhase() {
-	st := r.st
-	g, num := st.g, st.num
-	for v := r.lo; v < r.hi; v++ {
-		if st.doneV[v] {
-			continue
-		}
-		deg := st.uncovDeg[v]
-		sumBid := 0.0
-		alphaV := st.alphaV[v]
-		if st.localAlpha {
-			alphaV = 2
-		}
-		for _, e := range g.Incident(hypergraph.VertexID(v)) {
-			if r.newly[e] {
-				deg--
-				continue
-			}
-			if st.covered[e] {
-				continue
-			}
-			st.sumDelta[v] = num.Add(st.sumDelta[v], r.addE[e])
-			sumBid = num.Add(sumBid, st.bid[e])
-			if st.localAlpha && st.alphaE[e] > alphaV {
-				alphaV = st.alphaE[e]
-			}
-		}
-		st.uncovDeg[v] = deg
-		if deg == 0 {
-			st.doneV[v] = true
-			continue
-		}
-		st.sumBid[v] = sumBid
-		if st.localAlpha {
-			st.alphaV[v] = alphaV
-		}
-	}
-}
-
-// fill converts the final partition state into the PartialResult share.
-func (r *partitionRun) fill(res *PartialResult) {
+// partial converts the final state into the partition's share: the cover
+// and maximum level of the own range, and the duals of the owned edges
+// ascending by edge id.
+func (r *flatRun) partial(res *Result) *PartialResult {
 	st := r.st
 	g := st.g
+	p := &PartialResult{
+		Part:       r.part,
+		Iterations: res.Iterations,
+		Z:          res.Z,
+		Alpha:      res.Alpha,
+		Epsilon:    res.Epsilon,
+	}
+	size, owned := 0, 0
 	for v := r.lo; v < r.hi; v++ {
 		if st.inCover[v] {
-			res.Cover = append(res.Cover, hypergraph.VertexID(v))
-			res.CoverWeight += g.Weight(hypergraph.VertexID(v))
+			size++
 		}
-		if st.level[v] > res.MaxLevel {
-			res.MaxLevel = st.level[v]
+		for _, e := range g.Incident(hypergraph.VertexID(v)) {
+			if int(g.Edge(e)[0]) == v {
+				owned++
+			}
 		}
 	}
-	res.DualEdges = append(res.DualEdges, r.ownedEdges...)
-	res.DualValues = make([]float64, len(r.ownedEdges))
-	for i, e := range r.ownedEdges {
-		res.DualValues[i] = st.delta[e]
+	p.Cover = make([]hypergraph.VertexID, 0, size)
+	for v := r.lo; v < r.hi; v++ {
+		if st.inCover[v] {
+			p.Cover = append(p.Cover, hypergraph.VertexID(v))
+			p.CoverWeight += g.Weight(hypergraph.VertexID(v))
+		}
+		if st.level[v] > p.MaxLevel {
+			p.MaxLevel = st.level[v]
+		}
 	}
+	p.DualEdges = make([]int32, 0, owned)
+	p.DualValues = make([]float64, 0, owned)
+	for e := 0; e < g.NumEdges(); e++ {
+		if v := int(g.Edge(hypergraph.EdgeID(e))[0]); v >= r.lo && v < r.hi {
+			p.DualEdges = append(p.DualEdges, int32(e))
+			p.DualValues = append(p.DualValues, st.delta[e])
+		}
+	}
+	return p
 }
 
 // AssembleParts merges the partitions' shares into a Result equal, bit for

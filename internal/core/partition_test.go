@@ -279,6 +279,110 @@ func TestPartitionRunnerRejects(t *testing.T) {
 	}
 }
 
+// tamperExchanger hands its partition the frames of a real exchange after
+// passing a copy of the frame list through edit.
+type tamperExchanger struct {
+	Exchanger
+	edit func([]BoundaryFrame) []BoundaryFrame
+}
+
+func (x tamperExchanger) ExchangeBoundary(iteration int, local BoundaryFrame) ([]BoundaryFrame, error) {
+	frames, err := x.Exchanger.ExchangeBoundary(iteration, local)
+	if err != nil {
+		return nil, err
+	}
+	return x.edit(append([]BoundaryFrame(nil), frames...)), nil
+}
+
+// TestPartitionRejectsForeignBoundaryStates: a partition accepts boundary
+// frames only as the plan's partitions in ascending order, each reporting
+// vertices of its sender's range. Anything else — a state for one of the
+// receiver's own vertices, an unknown or misordered partition, a missing
+// or extra frame — fails the iteration with ErrPartitionOptions instead
+// of silently corrupting the run.
+func TestPartitionRejectsForeignBoundaryStates(t *testing.T) {
+	g, err := hypergraph.UniformRandom(40, 80, 3, hypergraph.GenConfig{
+		Seed: 3, Dist: hypergraph.WeightUniformRange, MaxWeight: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	bounds := PlanPartitions(g, 2)
+	want, err := RunFlat(g, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := BoundaryState{V: 0, Level: 1, Joined: true} // partition 0's vertex
+	withState := func(fr BoundaryFrame, bs BoundaryState) BoundaryFrame {
+		return BoundaryFrame{Part: fr.Part, States: append(append([]BoundaryState(nil), fr.States...), bs)}
+	}
+	tests := []struct {
+		name string
+		edit func([]BoundaryFrame) []BoundaryFrame
+		ok   bool
+	}{
+		{"untouched", func(f []BoundaryFrame) []BoundaryFrame { return f }, true},
+		{"extra frame for own vertex", func(f []BoundaryFrame) []BoundaryFrame {
+			return append(f, BoundaryFrame{Part: 1, States: []BoundaryState{own}})
+		}, false},
+		{"own vertex in peer frame", func(f []BoundaryFrame) []BoundaryFrame {
+			f[1] = withState(f[1], own)
+			return f
+		}, false},
+		{"vertex beyond the instance", func(f []BoundaryFrame) []BoundaryFrame {
+			f[1] = withState(f[1], BoundaryState{V: int32(g.NumVertices())})
+			return f
+		}, false},
+		{"unknown partition", func(f []BoundaryFrame) []BoundaryFrame {
+			f[1].Part = 7
+			return f
+		}, false},
+		{"descending order", func(f []BoundaryFrame) []BoundaryFrame {
+			f[0], f[1] = f[1], f[0]
+			return f
+		}, false},
+		{"missing frame", func(f []BoundaryFrame) []BoundaryFrame { return f[:1] }, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			grp := NewMemExchangerGroup(2)
+			partials := make([]*PartialResult, 2)
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for p := 0; p < 2; p++ {
+				ex := grp.Exchanger(p)
+				if p == 0 {
+					ex = tamperExchanger{Exchanger: ex, edit: tt.edit}
+				}
+				wg.Add(1)
+				go func(p int, ex Exchanger) {
+					defer wg.Done()
+					partials[p], errs[p] = RunPartition(g, opts, nil, bounds, p, ex)
+					grp.Fail(errs[p])
+				}(p, ex)
+			}
+			wg.Wait()
+			if !tt.ok {
+				if !errors.Is(errs[0], ErrPartitionOptions) {
+					t.Fatalf("err = %v, want ErrPartitionOptions", errs[0])
+				}
+				return
+			}
+			for p, err := range errs {
+				if err != nil {
+					t.Fatalf("partition %d: %v", p, err)
+				}
+			}
+			got, err := AssembleParts(g, opts, partials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requirePartitionResult(t, tt.name, got, want)
+		})
+	}
+}
+
 // TestPlanPartitionsShape checks the plan invariants the protocol relies on.
 func TestPlanPartitionsShape(t *testing.T) {
 	g, err := hypergraph.PowerLaw(200, 600, 3, hypergraph.GenConfig{Seed: 9})

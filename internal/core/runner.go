@@ -90,7 +90,7 @@ func runLockstepOn[T any](st *state[T], carry []float64) (*Result, error) {
 			tr.Phase(res.Iterations, telemetry.PhaseGather, time.Since(t0), 0)
 		}
 		if opts.CheckInvariants {
-			if err := st.checkInvariants(res.Iterations, res.Z); err != nil {
+			if err := st.checkInvariants(res.Iterations, res.Z, 0, n); err != nil {
 				return nil, err
 			}
 		}

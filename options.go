@@ -157,7 +157,10 @@ func WithTrace() Option {
 
 // WithInvariantChecks verifies the paper's invariants (Claims 1, 2 and 4)
 // after every iteration and fails the solve if any is violated. Intended
-// for verification runs; costs O(n+m) per iteration.
+// for verification runs; costs O(n+m) per iteration. In-process
+// partitioned solves (WithClusterPartitions without peers) check every
+// partition's own range; solves on TCP cluster peers drop the option, since
+// the setup frames do not carry it.
 func WithInvariantChecks() Option {
 	return optionFunc(func(c *solveConfig) { c.core.CheckInvariants = true })
 }
