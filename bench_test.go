@@ -86,7 +86,6 @@ func BenchmarkCongestProtocol(b *testing.B) {
 		eng  congest.Engine
 	}{
 		{"sequential", congest.SequentialEngine{}},
-		{"parallel", congest.ParallelEngine{}},
 		{"sharded", congest.ShardedEngine{}},
 	} {
 		b.Run(engine.name, func(b *testing.B) {
@@ -105,9 +104,9 @@ func BenchmarkCongestProtocol(b *testing.B) {
 
 // BenchmarkMillionNodeEngines is the tentpole scale benchmark: the full
 // cover protocol on a CONGEST network of one million nodes (400k vertices +
-// 600k edge nodes, ~2.4M links), sharded vs goroutine-per-node. It takes
-// minutes under the parallel engine, so it only runs when explicitly
-// requested; BENCH_baseline.json pins its committed readings (generated by
+// 600k edge nodes, ~2.4M links), sharded vs the sequential reference. A run
+// takes tens of seconds, so it only runs when explicitly requested;
+// BENCH_baseline.json pins its committed readings (generated by
 // `benchharness -writebaseline`).
 func BenchmarkMillionNodeEngines(b *testing.B) {
 	if os.Getenv("DISTCOVER_BENCH_LARGE") == "" {
@@ -124,7 +123,7 @@ func BenchmarkMillionNodeEngines(b *testing.B) {
 		eng  congest.Engine
 	}{
 		{"sharded", congest.ShardedEngine{}},
-		{"parallel", congest.ParallelEngine{}},
+		{"sequential", congest.SequentialEngine{}},
 	} {
 		b.Run(engine.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

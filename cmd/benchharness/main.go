@@ -117,7 +117,7 @@ func run() error {
 		writeBase  = flag.String("writebaseline", "", "measure engine throughput and merge the readings into this baseline file")
 		tol        = flag.Float64("tol", 0, "regression tolerance as a fraction; >0 overrides the baseline's default and per-entry tolerances (0 = use them)")
 		portable   = flag.Bool("portable", false, "with -baseline: compare only machine-independent readings (rounds, messages, iteration counts, speedup ratios, alloc counts), skipping raw ns — for CI runners whose hardware differs from the baseline machine")
-		suites     = flag.String("suite", "engines,flat,sessions,cluster,allocs,fabric,relay,scaling", "with -baseline/-writebaseline: comma-separated measurement suites to run (engines = E11 throughput, flat = E13 direct solver, sessions = E12 incremental, cluster = E14 multi-process, allocs = hot-path allocation counts, fabric = E15 instance fabric + WAL overhead, relay = E16 fan-out vs sequential relay, scaling = E17 flat worker sweep)")
+		suites     = flag.String("suite", "engines,flat,sessions,cluster,allocs,fabric,relay,scaling", "with -baseline/-writebaseline: comma-separated measurement suites to run (engines = E11 throughput, flat = E13 direct solver, sessions = E12 incremental, cluster = E14 multi-process, allocs = hot-path allocation counts, fabric = E15 instance fabric + WAL overhead, relay = E16 fan-out relay handshake floor, scaling = E17 flat worker sweep)")
 		workersArg = flag.String("workers", "", "worker-count sweep for the scaling suite / E17, comma-separated (default 1,2,4,8)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the measured work to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
@@ -143,7 +143,7 @@ func run() error {
 		fmt.Printf("%-3s %s\n", "E12", "Incremental sessions: residual re-solve vs from-scratch (lives outside the bench registry; see -suite)")
 		fmt.Printf("%-3s %s\n", "E14", "Multi-process cover cluster vs single-process flat (lives outside the bench registry; see -suite)")
 		fmt.Printf("%-3s %s\n", "E15", "Instance fabric setup bytes + WAL update overhead (lives outside the bench registry; see -suite)")
-		fmt.Printf("%-3s %s\n", "E16", "Relay concurrency: fan-out vs sequential cluster relay (lives outside the bench registry; see -suite)")
+		fmt.Printf("%-3s %s\n", "E16", "Relay concurrency: fan-out cluster relay under handshake latency (lives outside the bench registry; see -suite)")
 		return nil
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)

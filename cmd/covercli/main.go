@@ -8,7 +8,7 @@
 //
 //	covercli [-in file] [-eps ε] [-f-approx] [-single-level] [-local-alpha]
 //	         [-alpha α] [-exact] [-flat [-par P]]
-//	         [-congest] [-parallel] [-sharded [-shards P]]
+//	         [-congest] [-sharded [-shards P]]
 //	         [-tcp] [-json] [-trace] [-compare] [-exact-opt]
 //	covercli -gen kind -n N [-m M] [-f F] [-maxw W] [-seed S]
 //
@@ -16,9 +16,9 @@
 // workers): the fastest way to just get the cover, with results
 // bit-identical to the default simulator. With -congest the real Appendix B
 // message protocol runs on a simulated CONGEST network and the
-// communication metrics are reported; -parallel runs every node as its own
-// goroutine, -sharded steps node shards on a fixed worker pool (the fast
-// message-passing path for large instances), -tcp moves the messages over
+// communication metrics are reported; the nodes step sequentially unless
+// -sharded steps node shards on a fixed worker pool (the fast
+// message-passing path for large instances) or -tcp moves the messages over
 // real loopback sockets. -gen emits a synthetic instance as JSON instead of
 // solving. -compare runs the paper's baselines next to the algorithm;
 // -exact-opt audits small instances against a branch-and-bound optimum.
@@ -54,7 +54,6 @@ func run() error {
 		flat        = flag.Bool("flat", false, "chunk-parallel flat solver (bit-identical, one worker per core)")
 		par         = flag.Int("par", 0, "with -flat: worker count (0 = GOMAXPROCS)")
 		congestRun  = flag.Bool("congest", false, "run the real CONGEST message protocol")
-		parallel    = flag.Bool("parallel", false, "with -congest: one goroutine per node")
 		sharded     = flag.Bool("sharded", false, "with -congest: fixed worker pool over node shards (large instances)")
 		shards      = flag.Int("shards", 0, "with -sharded: shard count (0 = GOMAXPROCS)")
 		tcp         = flag.Bool("tcp", false, "with -congest: nodes talk over TCP loopback")
@@ -110,17 +109,11 @@ func run() error {
 	// The engine flags are mutually exclusive; without a check the
 	// last-applied option would silently win and a benchmark could measure
 	// the wrong engine.
-	engineFlags := 0
-	for _, on := range []bool{*parallel, *sharded, *tcp} {
-		if on {
-			engineFlags++
-		}
+	if *sharded && *tcp {
+		return fmt.Errorf("-sharded and -tcp are mutually exclusive")
 	}
-	if engineFlags > 1 {
-		return fmt.Errorf("-parallel, -sharded and -tcp are mutually exclusive")
-	}
-	if engineFlags > 0 && !*congestRun {
-		return fmt.Errorf("-parallel, -sharded and -tcp select a CONGEST engine and require -congest")
+	if (*sharded || *tcp) && !*congestRun {
+		return fmt.Errorf("-sharded and -tcp select a CONGEST engine and require -congest")
 	}
 	if *shards != 0 && !*sharded {
 		return fmt.Errorf("-shards requires -sharded")
@@ -133,9 +126,6 @@ func run() error {
 	}
 	if *flat {
 		opts = append(opts, distcover.WithFlatEngine(), distcover.WithSolverParallelism(*par))
-	}
-	if *parallel {
-		opts = append(opts, distcover.WithParallelEngine())
 	}
 	if *sharded {
 		opts = append(opts, distcover.WithShardedEngine(), distcover.WithShardCount(*shards))

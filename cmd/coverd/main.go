@@ -57,6 +57,27 @@ import (
 	"distcover/server"
 )
 
+// HTTP server timeouts. A client that never finishes its request headers
+// is dropped after readHeaderTimeout instead of holding a goroutine and a
+// file descriptor until coverd exits. idleTimeout outlasts net/http's 90 s
+// client-side IdleConnTimeout, so the ring forwarder and the client
+// package close idle keep-alive connections before the server does.
+// Whole-request read and write deadlines stay unset: synchronous solves
+// and large bodies are legitimately slow.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds coverd's HTTP server around handler.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -209,7 +230,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := newHTTPServer(handler)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			logger.Error("coverd: serve failed", "err", err)

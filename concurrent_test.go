@@ -64,7 +64,7 @@ func TestConcurrentSolveSharedInstance(t *testing.T) {
 }
 
 // TestConcurrentSolveCongestSharedInstance does the same through the real
-// message protocol, mixing the sequential and parallel engines.
+// message protocol, mixing the sequential and sharded engines.
 func TestConcurrentSolveCongestSharedInstance(t *testing.T) {
 	inst, err := distcover.NewInstance(
 		[]int64{3, 1, 4, 1, 5, 9, 2, 6},
@@ -86,7 +86,7 @@ func TestConcurrentSolveCongestSharedInstance(t *testing.T) {
 			defer wg.Done()
 			opts := []distcover.Option{distcover.WithEpsilon(1)}
 			if g%2 == 1 {
-				opts = append(opts, distcover.WithParallelEngine())
+				opts = append(opts, distcover.WithShardedEngine())
 			}
 			sol, _, err := distcover.SolveCongest(inst, opts...)
 			if err != nil {

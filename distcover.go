@@ -22,9 +22,9 @@
 //	fmt.Println(sol.Cover, sol.Weight, sol.RatioBound)
 //
 // Solve runs a fast in-process simulation. SolveCongest executes the real
-// message protocol on a simulated CONGEST network (every node a goroutine
-// if you pick the parallel engine) and reports rounds, message counts and
-// message sizes.
+// message protocol on a simulated CONGEST network (node shards on a worker
+// pool if you pick the sharded engine) and reports rounds, message counts
+// and message sizes.
 //
 // The returned Solution always carries a per-run certificate: a feasible
 // dual packing whose value lower-bounds the optimum, so
@@ -249,8 +249,10 @@ func Solve(in *Instance, opts ...Option) (*Solution, error) {
 
 // SolveCongest runs the actual Appendix B message protocol on a simulated
 // CONGEST network and returns the solution together with communication
-// metrics. With WithParallelEngine every network node runs as its own
-// goroutine; results are identical to the default deterministic engine.
+// metrics. The default engine steps the nodes sequentially; with
+// WithShardedEngine node shards step on a worker pool, and with
+// WithTCPEngine the messages cross loopback sockets. Results and metrics
+// are identical on every engine.
 func SolveCongest(in *Instance, opts ...Option) (*Solution, *CongestStats, error) {
 	if in == nil {
 		return nil, nil, ErrNilInstance

@@ -105,6 +105,11 @@ func TestSolveCongest(t *testing.T) {
 			t.Errorf("stats not recorded: %+v", stats)
 		}
 	}
+	// The deprecated WithParallelEngine must keep selecting the sharded
+	// engine.
+	if c := optConfig([]Option{WithParallelEngine()}); c.engine != engineSharded || !c.congest {
+		t.Errorf("WithParallelEngine selects engine %d (congest=%v), want the sharded engine", c.engine, c.congest)
+	}
 	if _, _, err := SolveCongest(nil); !errors.Is(err, ErrNilInstance) {
 		t.Errorf("SolveCongest(nil) = %v", err)
 	}

@@ -18,7 +18,6 @@ import (
 // for 50-instance sweeps.)
 func equivalenceEngines() map[string]congest.Engine {
 	return map[string]congest.Engine{
-		"parallel":  congest.ParallelEngine{},
 		"sharded":   congest.ShardedEngine{},
 		"sharded-5": congest.ShardedEngine{Shards: 5},
 	}
@@ -104,7 +103,7 @@ func randomEquivalenceInstance(t *testing.T, rng *rand.Rand, i int) *hypergraph.
 
 // TestEngineEquivalenceOnCoverProtocol is the cross-engine differential
 // property test: on 50 random weighted instances (including f>2 and
-// ILP-reduction shapes) the sequential, parallel and sharded engines must
+// ILP-reduction shapes) the sequential and sharded engines must
 // produce identical covers, identical metrics.Rounds, and identical
 // message-bit accounting — and the flat chunk-parallel solver must match
 // them bit for bit (covers, duals, iterations) at every worker count from
@@ -217,7 +216,6 @@ func TestSessionReplayAcrossEngines(t *testing.T) {
 			"sim":        {},
 			"flat":       {WithFlatEngine(), WithSolverParallelism(3)},
 			"sequential": {WithSequentialEngine()},
-			"parallel":   {WithParallelEngine()},
 			"sharded":    {WithShardedEngine(), WithShardCount(3)},
 		} {
 			s, err := NewSession(inst, opts...)
@@ -243,7 +241,7 @@ func TestSessionReplayAcrossEngines(t *testing.T) {
 			// The simulator session updates first: it is the reference the
 			// engine sessions are compared against within the batch.
 			ref := sessions["sim"]
-			for _, name := range []string{"sim", "flat", "sequential", "parallel", "sharded"} {
+			for _, name := range []string{"sim", "flat", "sequential", "sharded"} {
 				s := sessions[name]
 				if _, err := s.Update(d); err != nil {
 					t.Fatalf("instance %d batch %d: %s: %v", i, batch, name, err)
@@ -357,7 +355,6 @@ func TestEngineEquivalencePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opt := range [][]Option{
-		{WithEpsilon(0.5), WithParallelEngine()},
 		{WithEpsilon(0.5), WithShardedEngine()},
 		{WithEpsilon(0.5), WithShardedEngine(), WithShardCount(4)},
 	} {

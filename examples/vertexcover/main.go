@@ -1,8 +1,9 @@
 // Weighted vertex cover (f = 2) over the real CONGEST message protocol:
 // every vertex and every edge of the conflict graph runs as a network node
-// exchanging O(log n)-bit messages; with the parallel engine each node is a
-// goroutine. The measured rounds illustrate the O(logΔ/loglogΔ) headline
-// bound, and the run reports the exact communication cost.
+// exchanging O(log n)-bit messages; the sharded engine steps the nodes in
+// shards on a worker pool. The measured rounds illustrate the
+// O(logΔ/loglogΔ) headline bound, and the run reports the exact
+// communication cost.
 package main
 
 import (
@@ -53,7 +54,7 @@ func main() {
 
 	sol, stats, err := distcover.SolveCongest(inst,
 		distcover.WithEpsilon(0.5),
-		distcover.WithParallelEngine(), // every node is a goroutine
+		distcover.WithShardedEngine(), // node shards step on a worker pool
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -69,7 +69,7 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := SolveCongest(inst, WithEpsilon(0.5), WithParallelEngine())
+	sharded, _, err := SolveCongest(inst, WithEpsilon(0.5), WithShardedEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, sol := range map[string]*Solution{
-		"congest": congest, "parallel": parallel, "tcp": tcp,
+		"congest": congest, "sharded": sharded, "tcp": tcp,
 	} {
 		if sol.Weight != base.Weight || sol.Iterations != base.Iterations {
 			t.Errorf("%s path disagrees: weight %d vs %d", name, sol.Weight, base.Weight)

@@ -103,7 +103,7 @@ func Registry() []Experiment {
 		{ID: "E8", Title: "CONGEST conformance: message sizes and round formula", Run: MessageSize},
 		{ID: "E9", Title: "Shrinking ε (Corollaries 11 and 12)", Run: EpsilonRange},
 		{ID: "E10", Title: "Local α(e): no global knowledge of Δ (Theorem 9 remark)", Run: LocalAlpha},
-		{ID: "E11", Title: "Engine throughput: goroutine-per-node vs sharded worker pool", Run: EngineThroughput},
+		{ID: "E11", Title: "Engine throughput: sequential reference vs sharded worker pool", Run: EngineThroughput},
 		{ID: "E13", Title: "Direct solver throughput: chunk-parallel flat runner vs sharded CONGEST", Run: FlatThroughput},
 		{ID: "E17", Title: "Multicore scaling: flat runner worker sweep with speedup gate", Run: FlatScaling},
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"distcover/internal/congest"
@@ -60,8 +61,13 @@ func engineWorkloads(cfg Config) ([]engineWorkload, error) {
 	return out, nil
 }
 
-// throughputEngines lists the measured engines in presentation order. The
-// TCP engine is excluded: one socket per node caps it far below this scale.
+// throughputEngines lists the measured engines in presentation order; the
+// first is the reference every other engine is checked and timed against.
+// sharded-1 is the sharded engine held to one shard: like the sequential
+// reference it runs on a single thread, so the ratio of the two measures
+// the sharded engine's own cost independently of the machine's core
+// count. The TCP engine is excluded: one socket per node caps it far
+// below this scale.
 func throughputEngines() []struct {
 	name string
 	eng  congest.Engine
@@ -71,7 +77,7 @@ func throughputEngines() []struct {
 		eng  congest.Engine
 	}{
 		{"sequential", congest.SequentialEngine{}},
-		{"parallel", congest.ParallelEngine{}},
+		{"sharded-1", congest.ShardedEngine{Shards: 1}},
 		{"sharded", congest.ShardedEngine{}},
 	}
 }
@@ -85,8 +91,8 @@ func MeasureEngines(cfg Config) ([]Measurement, []Table, error) {
 	mode := pick(cfg, "full", "quick")
 	t := Table{
 		ID:     "E11",
-		Title:  "Engine throughput: goroutine-per-node vs sharded worker pool",
-		Header: []string{"workload", "engine", "nodes", "rounds", "msgs", "ms", "msgs/s", "vs parallel"},
+		Title:  "Engine throughput: sequential reference vs sharded worker pool",
+		Header: []string{"workload", "engine", "nodes", "rounds", "msgs", "ms", "msgs/s", "vs sequential"},
 	}
 	var ms []Measurement
 	opts := core.DefaultOptions()
@@ -101,22 +107,19 @@ func MeasureEngines(cfg Config) ([]Measurement, []Table, error) {
 			refRounds   int
 			refMessages int64
 			buildBest   time.Duration
-			elapsed     = map[string]time.Duration{}
+			engines     = throughputEngines()
+			best        = make([]time.Duration, len(engines))
 		)
-		// Quick mode re-runs each engine and keeps the fastest time: the
-		// workloads are milliseconds there, and best-of-k is what makes a
-		// 20% CI tolerance hold. Full-mode runs are long enough to be
-		// stable (and the parallel engine's 1M-node run is too expensive
-		// to repeat).
-		reps := pick(cfg, 1, 3)
-		for i, e := range throughputEngines() {
-			var (
-				res     *core.Result
-				metrics congest.Metrics
-				d       time.Duration
-			)
-			for r := 0; r < reps; r++ {
-				// Networks are stateful, so every rep rebuilds; the build is
+		// Quick mode runs every engine several times and keeps each one's
+		// fastest time: the workloads are milliseconds there. The reps are
+		// interleaved — each rep runs every engine once, after a forced
+		// GC — so a noisy stretch on a shared runner hits all engines
+		// alike instead of skewing the sequential ÷ sharded-1 ratio.
+		// Full-mode runs take seconds each and are read once.
+		reps := pick(cfg, 1, 5)
+		for r := 0; r < reps; r++ {
+			for i, e := range engines {
+				// Networks are stateful, so every run rebuilds; the build is
 				// timed separately (its own reading below) and the per-engine
 				// reading covers engine execution only — construction cost is
 				// engine-independent and would dilute the throughput ratio.
@@ -129,24 +132,29 @@ func MeasureEngines(cfg Config) ([]Measurement, []Table, error) {
 				if buildBest == 0 || buildD < buildBest {
 					buildBest = buildD
 				}
+				runtime.GC()
 				start := time.Now()
-				repRes, repMetrics, err := core.RunBuiltNetwork(wl.g, opts, nw, vnodes, enodes, e.eng, congest.Options{})
-				repD := time.Since(start)
+				res, metrics, err := core.RunBuiltNetwork(wl.g, opts, nw, vnodes, enodes, e.eng, congest.Options{})
+				d := time.Since(start)
 				if err != nil {
 					return nil, nil, fmt.Errorf("bench: engine %s on %s: %w", e.name, wl.name, err)
 				}
-				if r == 0 || repD < d {
-					res, metrics, d = repRes, repMetrics, repD
+				if r == 0 && i == 0 {
+					refWeight, refRounds, refMessages = res.CoverWeight, metrics.Rounds, metrics.Messages
+				} else if res.CoverWeight != refWeight || metrics.Rounds != refRounds || metrics.Messages != refMessages {
+					return nil, nil, fmt.Errorf(
+						"bench: engine %s diverges on %s: weight=%d rounds=%d msgs=%d, want %d/%d/%d",
+						e.name, wl.name, res.CoverWeight, metrics.Rounds, metrics.Messages,
+						refWeight, refRounds, refMessages)
+				}
+				if best[i] == 0 || d < best[i] {
+					best[i] = d
 				}
 			}
-			if i == 0 {
-				refWeight, refRounds, refMessages = res.CoverWeight, metrics.Rounds, metrics.Messages
-			} else if res.CoverWeight != refWeight || metrics.Rounds != refRounds || metrics.Messages != refMessages {
-				return nil, nil, fmt.Errorf(
-					"bench: engine %s diverges on %s: weight=%d rounds=%d msgs=%d, want %d/%d/%d",
-					e.name, wl.name, res.CoverWeight, metrics.Rounds, metrics.Messages,
-					refWeight, refRounds, refMessages)
-			}
+		}
+		elapsed := map[string]time.Duration{}
+		for i, e := range engines {
+			d := best[i]
 			elapsed[e.name] = d
 			ms = append(ms, Measurement{
 				Name:  fmt.Sprintf("%s/%s/%s/ns", mode, wl.name, e.name),
@@ -155,16 +163,10 @@ func MeasureEngines(cfg Config) ([]Measurement, []Table, error) {
 				// multiple-scale slowdown is a trustworthy regression.
 				Tolerance: 0.75,
 			})
-		}
-		// Rows are emitted only after every engine has run, so the
-		// vs-parallel cell is known for all of them (including sequential,
-		// which is measured before parallel).
-		for _, e := range throughputEngines() {
-			d := elapsed[e.name]
 			t.AddRow(wl.name, e.name, fmtI(netNodes), fmtI(refRounds),
 				fmtI64(refMessages), fmtF(float64(d.Milliseconds())),
 				fmt.Sprintf("%.2fM", float64(refMessages)/d.Seconds()/1e6),
-				speedupCell(elapsed, e.name))
+				fmt.Sprintf("%.2fx", best[0].Seconds()/d.Seconds()))
 		}
 		ms = append(ms,
 			Measurement{
@@ -186,32 +188,23 @@ func MeasureEngines(cfg Config) ([]Measurement, []Table, error) {
 				Tolerance: 0.001,
 			},
 			Measurement{
-				Name:           fmt.Sprintf("%s/%s/speedup-sharded-vs-parallel", mode, wl.name),
-				Value:          elapsed["parallel"].Seconds() / elapsed["sharded"].Seconds(),
+				Name:           fmt.Sprintf("%s/%s/speedup-sharded-1-vs-sequential", mode, wl.name),
+				Value:          elapsed["sequential"].Seconds() / elapsed["sharded-1"].Seconds(),
 				Unit:           "x",
 				HigherIsBetter: true,
-				// The ratio cancels machine speed but not topology: CI
-				// runners have different core counts than the baseline
-				// machine, and both legs jitter. The band is wide enough to
-				// absorb that while still failing well before the tentpole
-				// 5x multiple is lost (quick baselines sit near 16x).
-				Tolerance: 0.6,
+				// Both legs run on one thread, so the ratio cancels machine
+				// speed and core count alike; what it gates is the sharded
+				// engine's per-round overhead (worker hand-off, pooled
+				// outboxes) against the reference. Best-of-5 readings of
+				// this ratio still spread about ±20% on a shared 2-vCPU
+				// host, hence the band.
+				Tolerance: 0.4,
 			})
 	}
 	t.Notes = append(t.Notes,
 		"all engines must produce identical covers, rounds and message counts (verified per row)",
-		"sharded-vs-parallel speedup is the tentpole metric; BENCH_baseline.json pins it")
+		"sharded-1 is the sharded engine on one shard; BENCH_baseline.json pins sequential ÷ sharded-1, which is portable across core counts")
 	return ms, []Table{t}, nil
-}
-
-// speedupCell formats this engine's time relative to the parallel engine,
-// once both are known.
-func speedupCell(elapsed map[string]time.Duration, name string) string {
-	p, ok := elapsed["parallel"]
-	if !ok || name == "parallel" {
-		return "-"
-	}
-	return fmt.Sprintf("%.1fx", p.Seconds()/elapsed[name].Seconds())
 }
 
 // EngineThroughput is the Registry adapter for MeasureEngines.

@@ -149,7 +149,8 @@ func TestMeasureEnginesQuick(t *testing.T) {
 	}
 	for _, want := range []string{
 		"quick/regular-30k/sharded/ns",
-		"quick/regular-30k/speedup-sharded-vs-parallel",
+		"quick/regular-30k/speedup-sharded-1-vs-sequential",
+		"quick/regular-30k/sharded-1/ns",
 		"quick/regular-30k/build/ns",
 		"quick/powerlaw-10k/rounds",
 	} {

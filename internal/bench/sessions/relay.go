@@ -18,7 +18,7 @@ import (
 // charge connection setup per peer dial; injecting it before the first
 // write makes the cost deterministic on loopback, so the experiment
 // measures exactly what the concurrent fan-out relay parallelizes — peer
-// dial/handshake/setup — rather than scheduler noise.
+// dial/handshake — rather than scheduler noise.
 const relayHandshakeDelay = 10 * time.Millisecond
 
 // delayedConn sleeps once before the first Write on the connection.
@@ -66,16 +66,16 @@ func startLatencyPeers(n int) (addrs []string, closeAll func(), err error) {
 	return addrs, closeAll, nil
 }
 
-// MeasureRelay runs the E16 workload: the concurrent fan-out relay against
-// the historical sequential relay at 1, 2 and 4 partitions over two
-// latency-injected loopback peers. The sequential relay dials and sets up
-// its per-partition connections one at a time, so its wall clock grows by
-// one handshake delay per partition; the fan-out relay dials concurrently
-// (and multiplexes co-located partitions onto one v3 connection), so it
-// pays the delay roughly once. Every reading is taken only after
-// bit-identity with the single-process flat engine is verified, and the
-// 4-partition speedup ratio is committed as a portable baseline entry with
-// a hard floor: if fan-out stops beating sequential the suite fails.
+// MeasureRelay runs the E16 workload: the fan-out relay at 1, 2 and 4
+// partitions over two latency-injected loopback peers. The relay dials the
+// peers concurrently and multiplexes co-located partitions onto one
+// connection, so it pays the handshake delay about once whatever the
+// partition count; a relay that handshook its four partitions one after
+// another would pay it four times. That difference is the suite's
+// in-code floor: it fails when the 4-partition solve costs at least
+// 3 × relayHandshakeDelay more than the 1-partition solve. Every reading
+// is taken only after bit-identity with the single-process flat engine is
+// verified.
 func MeasureRelay(cfg bench.Config) ([]bench.Measurement, []bench.Table, error) {
 	mode := pick(cfg, "full", "quick")
 	name := pick(cfg, "relay-8k", "relay-2k")
@@ -108,9 +108,9 @@ func MeasureRelay(cfg bench.Config) ([]bench.Measurement, []bench.Table, error) 
 		return nil
 	}
 
-	// Warm the peer instance caches so both relays run hash-hit setups:
-	// the measured gap is then pure connection concurrency, not a JSON
-	// transfer that only the first path pays.
+	// Warm the peer instance caches so every reading runs hash-hit setups:
+	// the measured cost is then the connection handshakes and the solve,
+	// not a JSON transfer that only the first reading pays.
 	warm, err := cluster.Solve(g, opts, cluster.Config{Peers: peers, Partitions: 4})
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: relay warmup: %w", err)
@@ -121,58 +121,54 @@ func MeasureRelay(cfg bench.Config) ([]bench.Measurement, []bench.Table, error) 
 
 	t := bench.Table{
 		ID:     "E16",
-		Title:  "Relay concurrency: fan-out vs sequential relay under per-connection handshake latency",
-		Header: []string{"partitions", "fan-out ms", "sequential ms", "speedup"},
+		Title:  "Relay concurrency: fan-out relay under per-connection handshake latency",
+		Header: []string{"partitions", "fan-out ms", "over 1p ms"},
 	}
 
 	prefix := mode + "/" + name
+	partCounts := []int{1, 2, 4}
+	// Best of three interleaved readings per partition count: one slow
+	// 1-partition reading would otherwise shrink the 4p − 1p difference
+	// the floor below checks.
+	elapsed := map[int]time.Duration{}
+	for rep := 0; rep < 3; rep++ {
+		for _, parts := range partCounts {
+			start := time.Now()
+			got, err := cluster.Solve(g, opts, cluster.Config{Peers: peers, Partitions: parts})
+			d := time.Since(start)
+			if err != nil {
+				return nil, nil, fmt.Errorf("bench: fan-out %dp: %w", parts, err)
+			}
+			if err := check(fmt.Sprintf("fan-out %dp", parts), got); err != nil {
+				return nil, nil, err
+			}
+			if best, ok := elapsed[parts]; !ok || d < best {
+				elapsed[parts] = d
+			}
+		}
+	}
 	var ms []bench.Measurement
-	var speedup4 float64
-	for _, parts := range []int{1, 2, 4} {
-		start := time.Now()
-		got, err := cluster.Solve(g, opts, cluster.Config{Peers: peers, Partitions: parts})
-		fanD := time.Since(start)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bench: fan-out %dp: %w", parts, err)
-		}
-		if err := check(fmt.Sprintf("fan-out %dp", parts), got); err != nil {
-			return nil, nil, err
-		}
-		start = time.Now()
-		got, err = cluster.Solve(g, opts, cluster.Config{Peers: peers, Partitions: parts, SequentialRelay: true})
-		seqD := time.Since(start)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bench: sequential %dp: %w", parts, err)
-		}
-		if err := check(fmt.Sprintf("sequential %dp", parts), got); err != nil {
-			return nil, nil, err
-		}
-		ratio := seqD.Seconds() / fanD.Seconds()
-		if parts == 4 {
-			speedup4 = ratio
-		}
+	for _, parts := range partCounts {
+		d := elapsed[parts]
 		ms = append(ms, bench.Measurement{
-			Name: fmt.Sprintf("%s/fanout-%dp/ns", prefix, parts), Value: float64(fanD.Nanoseconds()),
+			Name: fmt.Sprintf("%s/fanout-%dp/ns", prefix, parts), Value: float64(d.Nanoseconds()),
 			Unit: "ns", Tolerance: 0.75,
 		})
 		t.AddRow(fmt.Sprintf("%d", parts),
-			fmt.Sprintf("%.1f", fanD.Seconds()*1000),
-			fmt.Sprintf("%.1f", seqD.Seconds()*1000),
-			fmt.Sprintf("%.2fx", ratio))
+			fmt.Sprintf("%.1f", d.Seconds()*1000),
+			fmt.Sprintf("%.1f", (d-elapsed[1]).Seconds()*1000))
 	}
-	// The refactor's reason to exist: at 4 partitions the concurrent relay
-	// must beat the sequential baseline outright on this workload. The
-	// committed ratio gates CI portably (it is hardware-independent: both
-	// sides pay the same injected latency).
-	if speedup4 <= 1.1 {
-		return nil, nil, fmt.Errorf("bench: fan-out relay speedup %.2fx at 4 partitions — lost its concurrency advantage", speedup4)
+	// The relay's reason to exist: four partitions must not pay the
+	// handshake delay once each. Handshaking them one after another costs
+	// at least three delays more than one partition does, so that is the
+	// floor; the check needs no second relay to compare against.
+	if extra := elapsed[4] - elapsed[1]; extra >= 3*relayHandshakeDelay {
+		return nil, nil, fmt.Errorf("bench: fan-out relay at 4 partitions took %v longer than at 1 (floor %v) — its handshakes no longer overlap",
+			extra, 3*relayHandshakeDelay)
 	}
-	ms = append(ms, bench.Measurement{
-		Name: prefix + "/relay-speedup-4p", Value: speedup4, Unit: "x",
-		HigherIsBetter: true, Tolerance: 0.6,
-	})
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("peers inject %v before each connection's first write: the sequential relay pays it per partition connection, the fan-out relay pays it once per peer (concurrent dials, v3 multiplexing)", relayHandshakeDelay),
+		fmt.Sprintf("peers inject %v before each connection's first write; the fan-out relay dials peers concurrently and multiplexes co-located partitions, so it pays the delay about once", relayHandshakeDelay),
+		fmt.Sprintf("floor: fanout-4p − fanout-1p < 3 × %v (what four handshakes in a row would add)", relayHandshakeDelay),
 		"every reading is taken only after bit-identity with the flat engine is verified",
 	)
 	return ms, []bench.Table{t}, nil

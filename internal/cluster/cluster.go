@@ -1,7 +1,8 @@
 // Package cluster runs Algorithm MWHVC across several coverd processes: a
 // coordinator partitions an instance into contiguous vertex ranges over the
 // CSR layout, ships each range's share in one setup frame to a peer
-// (distcover-cluster protocol over framed TCP), and relays the compact
+// (distcover-cluster protocol over framed TCP; the partitions one peer
+// process serves share a single multiplexed connection), and relays the compact
 // per-iteration boundary exchange — boundary-vertex levels plus join/raise
 // flags, and the global coverage count — until the cover is complete. Each
 // peer executes core.RunPartition, so the merged result is bit-identical to
@@ -81,21 +82,10 @@ type Config struct {
 	Logger *slog.Logger
 	// Tracer receives per-peer exchange latency and frame accounting
 	// hooks (nil = disabled, strictly zero overhead). The fan-out relay
-	// calls it from one goroutine per connection, so the tracer must be
+	// calls it from one goroutine per partition, so the tracer must be
 	// safe for concurrent use (telemetry.Recorder and the Prometheus
 	// adapter both are).
 	Tracer telemetry.Tracer
-	// MaxProtocol caps the protocol version this coordinator negotiates
-	// (0 = the newest this build speaks). Setting 2 forces one plain v2
-	// connection per partition instead of multiplexing partitions onto a
-	// shared v3 connection per peer process.
-	MaxProtocol int
-	// SequentialRelay switches back to the historical relay that walks
-	// the peers one frame at a time on the coordinator goroutine (always
-	// plain v2, one connection per partition). It exists as the measured
-	// baseline for the concurrent fan-out relay and as wire-compat
-	// coverage; production solves leave it false.
-	SequentialRelay bool
 }
 
 func (c Config) timeout() time.Duration {
@@ -121,7 +111,7 @@ func SolveResidual(g *hypergraph.Hypergraph, opts core.Options, carry []float64,
 }
 
 // run validates and partitions the solve, then hands it to the concurrent
-// fan-out relay (the default) or the historical sequential relay.
+// fan-out relay.
 func run(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg Config) (res *core.Result, err error) {
 	if len(cfg.Peers) == 0 {
 		return nil, ErrNoPeers
@@ -153,8 +143,7 @@ func run(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg Confi
 	if lg != nil {
 		lg.Info("cluster: solve start", "trace_id", traceID,
 			"partitions", np, "peers", len(cfg.Peers),
-			"vertices", g.NumVertices(), "edges", g.NumEdges(), "warm", carry != nil,
-			"sequential", cfg.SequentialRelay)
+			"vertices", g.NumVertices(), "edges", g.NumEdges(), "warm", carry != nil)
 		defer func() {
 			if err != nil {
 				lg.Warn("cluster: solve failed", "trace_id", traceID,
@@ -167,9 +156,6 @@ func run(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg Confi
 		}()
 	}
 
-	if cfg.SequentialRelay {
-		return runSequential(g, opts, carry, cfg, bounds, traceID)
-	}
 	return runFanOut(g, opts, carry, cfg, bounds, traceID)
 }
 
@@ -211,32 +197,34 @@ func expectFrame(rw frameRW, addr string, wants ...byte) ([]byte, byte, error) {
 	return nil, 0, protocolErr(addr, fmt.Errorf("%w: expected %s, got %s", ErrBadFrame, strings.Join(names, " or "), frameName(ft)))
 }
 
-// dialNegotiate opens one coordinator-side connection: dial, hello, parse
-// the peer's hello and compute the negotiated protocol version (capped at
-// maxVer).
-func dialNegotiate(addr string, d time.Duration, tr telemetry.Tracer, maxVer int, traceID string) (net.Conn, int, error) {
+// dialPeer opens one coordinator-side connection and runs the hello
+// exchange in plain framing. A peer that cannot speak the multiplexed v3
+// framing is refused with an error wrapping ErrBadFrame, not ErrPeerLost:
+// retrying cannot help until the peer is upgraded.
+func dialPeer(addr string, d time.Duration, tr telemetry.Tracer, traceID string) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, d)
 	if err != nil {
-		return nil, 0, lost(addr, "dial", err)
+		return nil, lost(addr, "dial", err)
 	}
-	// The handshake itself is always plain v2 framing; only frames after
-	// both hellos switch to the negotiated version.
 	rw := &connRW{conn: conn, d: d, tr: tr, peer: addr}
-	if err := sendJSONFrame(rw, ftHello, makeHello(maxVer, traceID)); err != nil {
+	if err := sendJSONFrame(rw, ftHello, makeHello(traceID)); err != nil {
 		conn.Close()
-		return nil, 0, lost(addr, "hello", err)
+		return nil, lost(addr, "hello", err)
 	}
 	payload, _, err := expectFrame(rw, addr, ftHello)
 	if err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	reply, err := parseHello(payload)
+	if err == nil {
+		err = requireV3(reply)
+	}
 	if err != nil {
 		conn.Close()
-		return nil, 0, protocolErr(addr, err)
+		return nil, protocolErr(addr, err)
 	}
-	return conn, effectiveVersion(maxVer, reply), nil
+	return conn, nil
 }
 
 // setupPartition runs the content-addressed setup handshake for one
@@ -288,150 +276,6 @@ func instanceMarshaler(g *hypergraph.Hypergraph) func() ([]byte, error) {
 	}
 }
 
-// runSequential is the historical relay: per-partition v2 connections set
-// up one after another, then one boundary and one coverage exchange per
-// iteration walked peer by peer on this goroutine. Kept as the measured
-// baseline for the fan-out relay and as plain-v2 wire coverage.
-func runSequential(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg Config, bounds []int, traceID string) (*core.Result, error) {
-	np := len(bounds) - 1
-	lg, tr := cfg.Logger, cfg.Tracer
-	hash := g.Hash()
-	marshal := instanceMarshaler(g)
-	d := cfg.timeout()
-
-	type seqConn struct {
-		addr string
-		conn net.Conn
-		rw   frameRW
-	}
-	conns := make([]*seqConn, 0, np)
-	defer func() {
-		for _, pc := range conns {
-			pc.conn.Close()
-		}
-	}()
-	for p := 0; p < np; p++ {
-		addr := cfg.Peers[p%len(cfg.Peers)]
-		// The sequential relay predates multiplexing; it always speaks
-		// plain v2, one connection per partition.
-		conn, _, err := dialNegotiate(addr, d, tr, protoVersion, traceID)
-		if err != nil {
-			return nil, err
-		}
-		pc := &seqConn{addr: addr, conn: conn, rw: &connRW{conn: conn, d: d, tr: tr, peer: addr}}
-		conns = append(conns, pc)
-		hit, err := setupPartition(pc.rw, addr, setupFrame{
-			Hash:    hash,
-			Carry:   carry,
-			Options: toSetupOptions(opts),
-			Bounds:  bounds,
-			Part:    p,
-			TraceID: traceID,
-		}, marshal)
-		if err != nil {
-			return nil, err
-		}
-		if lg != nil {
-			lg.Debug("cluster: partition dispatched", "trace_id", traceID,
-				"peer_addr", addr, "part", p, "hash", hash, "cache_hit", hit,
-				"range_lo", bounds[p], "range_hi", bounds[p+1])
-		}
-	}
-
-	// Relay loop: one boundary exchange and one coverage exchange per
-	// iteration, mirroring the partition runner's cadence. The coordinator
-	// tracks the global uncovered count itself, so it knows when the peers
-	// move on to their result frames.
-	uncovered := g.NumEdges()
-	iteration := 0
-	payloads := make([][]byte, np)
-	var combined []byte
-	for uncovered > 0 {
-		iteration++
-		for i, pc := range conns {
-			var waitT time.Time
-			if tr != nil {
-				waitT = time.Now()
-			}
-			payload, _, err := expectFrame(pc.rw, pc.addr, ftBoundary)
-			if err != nil {
-				return nil, err
-			}
-			if tr != nil {
-				tr.Exchange(pc.addr, telemetry.ExchangeBoundary, iteration, time.Since(waitT))
-			}
-			it, fr, err := decodeBoundary(payload)
-			if err != nil {
-				return nil, protocolErr(pc.addr, err)
-			}
-			if it != iteration || fr.Part != i {
-				return nil, protocolErr(pc.addr, fmt.Errorf("%w: boundary (iter %d part %d) during iter %d part %d",
-					ErrBadFrame, it, fr.Part, iteration, i))
-			}
-			// readFrame allocates a fresh payload per frame, so retaining it
-			// until the broadcast needs no copy.
-			payloads[i] = payload
-		}
-		combined = encodeCombinedBoundary(combined, iteration, payloads)
-		for _, pc := range conns {
-			if err := pc.rw.sendFrame(ftAllB, combined); err != nil {
-				return nil, lost(pc.addr, "combined boundary", err)
-			}
-		}
-		total := 0
-		for _, pc := range conns {
-			var waitT time.Time
-			if tr != nil {
-				waitT = time.Now()
-			}
-			payload, _, err := expectFrame(pc.rw, pc.addr, ftCoverage)
-			if err != nil {
-				return nil, err
-			}
-			if tr != nil {
-				tr.Exchange(pc.addr, telemetry.ExchangeCoverage, iteration, time.Since(waitT))
-			}
-			it, covered, err := decodeCoverage(payload)
-			if err != nil {
-				return nil, protocolErr(pc.addr, err)
-			}
-			if it != iteration {
-				return nil, protocolErr(pc.addr, fmt.Errorf("%w: coverage for iteration %d during %d", ErrBadFrame, it, iteration))
-			}
-			total += covered
-		}
-		if total > uncovered {
-			return nil, fmt.Errorf("%w: peers covered %d of %d uncovered edges", ErrBadFrame, total, uncovered)
-		}
-		var cbuf []byte
-		cbuf = encodeCoverage(cbuf, iteration, total)
-		for _, pc := range conns {
-			if err := pc.rw.sendFrame(ftAllC, cbuf); err != nil {
-				return nil, lost(pc.addr, "combined coverage", err)
-			}
-		}
-		uncovered -= total
-	}
-
-	partials := make([]*core.PartialResult, np)
-	for i, pc := range conns {
-		payload, _, err := expectFrame(pc.rw, pc.addr, ftResult)
-		if err != nil {
-			return nil, err
-		}
-		var fr resultFrame
-		if err := json.Unmarshal(payload, &fr); err != nil {
-			return nil, protocolErr(pc.addr, fmt.Errorf("%w: result: %v", ErrBadFrame, err))
-		}
-		partials[i] = frameToPartial(fr)
-	}
-	res, err := core.AssembleParts(g, opts, partials)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: assemble: %w", err)
-	}
-	return res, nil
-}
-
 // Invalidate asks every peer in cfg.Peers to drop the cached instance with
 // the given content hash. Content-addressed entries are immutable, so this
 // is capacity and teardown management (a deleted session's base instance,
@@ -454,7 +298,7 @@ func Invalidate(hash string, cfg Config) error {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			errs[i] = invalidateOne(addr, hash, d, cfg.Tracer, clampMaxProtocol(cfg.MaxProtocol))
+			errs[i] = invalidateOne(addr, hash, d, cfg.Tracer)
 		}(i, addr)
 	}
 	wg.Wait()
@@ -473,25 +317,18 @@ func Invalidate(hash string, cfg Config) error {
 }
 
 // invalidateOne runs the hello handshake and one invalidate/ack round trip
-// against a single peer. Under a negotiated v3 connection the round trip
-// rides on channel 0.
-func invalidateOne(addr, hash string, d time.Duration, tr telemetry.Tracer, maxVer int) error {
-	conn, ver, err := dialNegotiate(addr, d, tr, maxVer, "")
+// on channel 0 against a single peer.
+func invalidateOne(addr, hash string, d time.Duration, tr telemetry.Tracer) error {
+	conn, err := dialPeer(addr, d, tr, "")
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	var rw frameRW
-	if ver >= 3 {
-		m := newMux(conn, d, tr, addr)
-		rw = m.channel(0)
-		go m.readLoop()
-		// Tear the reader down before returning (close unblocks it), so a
-		// completed invalidation leaves no goroutine behind.
-		defer func() { conn.Close(); <-m.done }()
-	} else {
-		rw = &connRW{conn: conn, d: d, tr: tr, peer: addr}
-	}
+	m := newMux(conn, d, tr, addr)
+	rw := m.channel(0)
+	go m.readLoop()
+	// Tear the reader down before returning (close unblocks it), so a
+	// completed invalidation leaves no goroutine behind.
+	defer func() { conn.Close(); <-m.done }()
 	if err := rw.sendFrame(ftInvalidate, []byte(hash)); err != nil {
 		return lost(addr, "invalidate", err)
 	}

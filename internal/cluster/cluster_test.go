@@ -159,25 +159,28 @@ func dropAfterBoundary(t *testing.T) (addr string, stop func()) {
 				if _, err := expectHello(conn, time.Second); err != nil {
 					return
 				}
-				if err := writeJSONFrame(conn, ftHello, helloFrame{Magic: protoMagic, Version: protoVersion}); err != nil {
+				if err := writeJSONFrame(conn, ftHello, makeHello("")); err != nil {
 					return
 				}
-				_, payload, err := readFrameTimeout(conn, time.Second) // setup
+				if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+					return
+				}
+				ch, _, payload, err := readFrameV3(conn) // setup
 				if err != nil {
 					return
 				}
-				// v2 handshake: claim the instance is cached so the
-				// coordinator proceeds straight to the exchange loop.
+				// Claim the instance is cached so the coordinator proceeds
+				// straight to the exchange loop.
 				var setup setupFrame
 				if err := json.Unmarshal(payload, &setup); err != nil {
 					return
 				}
-				if err := writeFrame(conn, ftHashOK, []byte(setup.Hash)); err != nil {
+				if err := writeFrameV3(conn, ch, ftHashOK, []byte(setup.Hash)); err != nil {
 					return
 				}
 				// Pretend to have an empty boundary, then vanish before the
 				// combined frame ships back.
-				if err := writeFrame(conn, ftBoundary, encodeBoundary(nil, 1, core.BoundaryFrame{Part: 1})); err != nil {
+				if err := writeFrameV3(conn, ch, ftBoundary, encodeBoundary(nil, 1, core.BoundaryFrame{Part: setup.Part})); err != nil {
 					return
 				}
 			}()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"net"
 	"strings"
 	"sync"
@@ -203,29 +204,36 @@ func TestFabricHashMismatchRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	d := 2 * time.Second
-	if err := writeJSONFrameTimeout(conn, d, ftHello, helloFrame{Magic: protoMagic, Version: protoVersion}); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(d)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSONFrame(conn, ftHello, makeHello("")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := expectHello(conn, d); err != nil {
 		t.Fatal(err)
 	}
 	bogus := strings.Repeat("ab", 32)
-	if err := writeJSONFrameTimeout(conn, d, ftSetup, setupFrame{
+	setup, err := json.Marshal(setupFrame{
 		Hash: bogus, Bounds: []int{0, 3}, Part: 0,
 		Options: toSetupOptions(core.DefaultOptions()),
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ft, payload, err := readFrameTimeout(conn, d)
-	if err != nil || ft != ftHashMiss || string(payload) != bogus {
-		t.Fatalf("miss handshake: ft=%d payload=%q err=%v", ft, payload, err)
-	}
-	if err := writeFrameTimeout(conn, d, ftInstance, []byte(`{"weights":[1,1,1],"edges":[[0,1],[1,2]]}`)); err != nil {
+	if err := writeFrameV3(conn, 0, ftSetup, setup); err != nil {
 		t.Fatal(err)
 	}
-	ft, _, err = readFrameTimeout(conn, d)
-	if err != nil || ft != ftError {
-		t.Fatalf("poisoned instance: ft=%d err=%v, want error frame", ft, err)
+	ch, ft, payload, err := readFrameV3(conn)
+	if err != nil || ch != 0 || ft != ftHashMiss || string(payload) != bogus {
+		t.Fatalf("miss handshake: channel=%d ft=%d payload=%q err=%v", ch, ft, payload, err)
+	}
+	if err := writeFrameV3(conn, 0, ftInstance, []byte(`{"weights":[1,1,1],"edges":[[0,1],[1,2]]}`)); err != nil {
+		t.Fatal(err)
+	}
+	ch, ft, _, err = readFrameV3(conn)
+	if err != nil || ch != 0 || ft != ftError {
+		t.Fatalf("poisoned instance: channel=%d ft=%d err=%v, want error frame", ch, ft, err)
 	}
 	if entries, _ := peers[0].InstanceCacheStats(); entries != 0 {
 		t.Fatalf("poisoned instance was cached (%d entries)", entries)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"distcover/internal/core"
@@ -14,16 +13,16 @@ import (
 	"distcover/internal/telemetry"
 )
 
-// This file is the concurrent fan-out/fan-in relay, the default
-// coordinator path. One goroutine per partition owns its connection end to
-// end — dial (or claim of the shared multiplexed connection), the
-// hello/setup handshake, the per-iteration frame relay and the result
-// read — while the coordinator goroutine only aggregates: it collects the
-// np boundary contributions of an iteration through a channel, encodes the
-// combined broadcast once, hands it back to every relay, and does the same
-// for the coverage totals. Peer processes that negotiated protocol v3
-// share one multiplexed connection for all their partitions; v2 peers get
-// one connection per partition exactly as before.
+// This file is the concurrent fan-out/fan-in relay, the coordinator's
+// only relay. One goroutine per partition owns its channel end to end —
+// the shared connection's dial and hello (done once per peer process, by
+// whichever of its partitions gets there first), the setup handshake, the
+// per-iteration frame relay and the result read — while the coordinator
+// goroutine only aggregates: it collects the np boundary contributions of
+// an iteration through a channel, encodes the combined broadcast once,
+// hands it back to every relay, and does the same for the coverage
+// totals. All partitions of one peer process share one multiplexed (v3)
+// connection.
 //
 // Failure discipline: the first error out of any relay cancels the solve
 // context and closes every connection, which unblocks relays parked in
@@ -54,18 +53,12 @@ type resultMsg struct {
 }
 
 // peerLink is the shared per-address dial state: the first relay to need
-// an address dials and negotiates once. A v3 link carries the shared mux
-// every co-located partition channels through; a v2 link hands the
-// negotiated connection to exactly one claimant and the remaining
-// partitions dial their own.
+// an address dials and handshakes once, and every co-located partition
+// then channels through the link's mux.
 type peerLink struct {
-	addr    string
-	once    sync.Once
-	conn    net.Conn
-	mux     *mux
-	ver     int
-	err     error
-	claimed atomic.Bool
+	once sync.Once
+	mux  *mux
+	err  error
 }
 
 // fanout holds one concurrent relay run.
@@ -79,7 +72,6 @@ type fanout struct {
 	d       time.Duration
 	traceID string
 	hash    string
-	maxVer  int
 	marshal func() ([]byte, error)
 
 	ctx    context.Context
@@ -115,7 +107,6 @@ func runFanOut(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg
 		d:       cfg.timeout(),
 		traceID: traceID,
 		hash:    g.Hash(),
-		maxVer:  clampMaxProtocol(cfg.MaxProtocol),
 		marshal: instanceMarshaler(g),
 		ctx:     ctx, cancel: cancel,
 		links: make(map[string]*peerLink, len(cfg.Peers)),
@@ -128,7 +119,7 @@ func runFanOut(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg
 	}
 	for _, addr := range cfg.Peers {
 		if _, ok := fo.links[addr]; !ok {
-			fo.links[addr] = &peerLink{addr: addr}
+			fo.links[addr] = &peerLink{}
 		}
 	}
 	for p := 0; p < np; p++ {
@@ -179,45 +170,28 @@ func (fo *fanout) relay(p int) {
 	}
 }
 
-// connect resolves partition p's frameRW: the shared mux channel on a v3
-// peer, or a dedicated v2 connection.
+// connect returns partition p's channel on the shared connection to
+// addr, dialing it on first use.
 func (fo *fanout) connect(p int, addr string) (frameRW, error) {
 	link := fo.links[addr]
 	link.once.Do(func() {
-		conn, ver, err := dialNegotiate(addr, fo.d, fo.cfg.Tracer, fo.maxVer, fo.traceID)
+		conn, err := dialPeer(addr, fo.d, fo.cfg.Tracer, fo.traceID)
 		if err != nil {
 			link.err = err
 			return
 		}
 		fo.track(conn)
-		link.conn, link.ver = conn, ver
-		if ver >= 3 {
-			link.mux = newMux(conn, fo.d, fo.cfg.Tracer, addr)
-			fo.wg.Add(1)
-			go func() {
-				defer fo.wg.Done()
-				link.mux.readLoop()
-			}()
-		}
+		link.mux = newMux(conn, fo.d, fo.cfg.Tracer, addr)
+		fo.wg.Add(1)
+		go func() {
+			defer fo.wg.Done()
+			link.mux.readLoop()
+		}()
 	})
 	if link.err != nil {
 		return nil, link.err
 	}
-	if link.ver >= 3 {
-		return link.mux.channel(uint16(p)), nil
-	}
-	// v2 peer: one connection per partition. The negotiated connection
-	// serves the first claimant; the rest dial their own, capped at v2 so
-	// the extra handshakes cannot negotiate a different version.
-	if link.claimed.CompareAndSwap(false, true) {
-		return &connRW{conn: link.conn, d: fo.d, tr: fo.cfg.Tracer, peer: addr}, nil
-	}
-	conn, _, err := dialNegotiate(addr, fo.d, fo.cfg.Tracer, protoVersion, fo.traceID)
-	if err != nil {
-		return nil, err
-	}
-	fo.track(conn)
-	return &connRW{conn: conn, d: fo.d, tr: fo.cfg.Tracer, peer: addr}, nil
+	return link.mux.channel(uint16(p)), nil
 }
 
 // relayPartition is one partition's full conversation with its peer. A nil
@@ -363,7 +337,7 @@ func (fo *fanout) aggregate() (*core.Result, error) {
 		}
 		// A fresh buffer per iteration: every relay holds a reference to
 		// the broadcast while writing it out concurrently, so the buffer
-		// cannot be recycled the way the sequential relay's is.
+		// cannot be recycled across iterations.
 		combined := encodeCombinedBoundary(nil, iteration, payloads)
 		for p := 0; p < np; p++ {
 			fo.bOut[p] <- combined

@@ -16,6 +16,9 @@ import (
 //
 //	u32 big-endian payload length | u8 frame type | payload
 //
+// That plain framing carries the hello exchange only; every later frame
+// is multiplexed and adds a u16 channel id after the type (writeFrameV3).
+//
 // Handshake, setup and result frames are JSON (the setup frame carries the
 // instance — or, for session updates, the residual delta instance — in the
 // exact {"weights":[...],"edges":[[...]]} shape of the library's instance
@@ -46,68 +49,39 @@ const (
 	maxFT        = ftInvalidate
 )
 
-// Magic and version of the handshake. Version 2 made the setup frame
+// Magic and versions of the handshake. Version 2 made the setup frame
 // content-addressed: it carries the instance hash and the peer answers
 // hashok/hashmiss before the solve proceeds (see docs/PROTOCOL.md).
-// parseHello requires an exact version match on the baseline `version`
-// field, so v1 and v2 processes refuse each other at the handshake
-// instead of misparsing setups.
+// parseHello requires an exact match on the baseline `version` field, so
+// v1 processes are refused at the handshake instead of misparsing setups.
 //
 // Version 3 multiplexes partitions over one connection: after the hello
 // exchange every frame header gains a u16 big-endian channel id (the
 // global partition index), so a peer process runs many RunPartition
-// goroutines behind a single socket. v3 is negotiated additively: the
-// hello keeps `version: 2` on the wire and announces `max_version: 3`;
-// the effective version of a connection is the minimum of both sides'
-// announced maxima, so a v2-only process (which never sends max_version
-// and ignores the unknown field) keeps speaking plain v2 frames.
+// goroutines behind a single socket. The hello keeps `version: 2` on the
+// wire and announces `max_version: 3`. Every connection runs v3; a hello
+// announcing less (a v2-only build omits max_version) is refused by
+// requireV3, so mixed-version processes fail at the handshake instead of
+// misparsing each other's frames.
 const (
 	protoMagic      = "distcover-cluster"
 	protoVersion    = 2
 	protoMaxVersion = 3
 )
 
-// clampMaxProtocol normalizes a user-facing MaxProtocol knob (0 means
-// "newest this build speaks") into [protoVersion, protoMaxVersion].
-func clampMaxProtocol(v int) int {
-	if v <= 0 || v > protoMaxVersion {
-		return protoMaxVersion
-	}
-	if v < protoVersion {
-		return protoVersion
-	}
-	return v
+// makeHello builds the hello this process sends.
+func makeHello(traceID string) helloFrame {
+	return helloFrame{Magic: protoMagic, Version: protoVersion, MaxVersion: protoMaxVersion, TraceID: traceID}
 }
 
-// announcedMax is the highest protocol version a hello claims: its
-// baseline version, raised by the additive max_version field when present.
-func announcedMax(h helloFrame) int {
-	if h.MaxVersion > h.Version {
-		return h.MaxVersion
+// requireV3 refuses a hello from a process that cannot speak the
+// multiplexed framing every frame after the handshake uses.
+func requireV3(h helloFrame) error {
+	if h.MaxVersion < protoMaxVersion {
+		return fmt.Errorf("%w: hello announces protocol v%d, v%d required",
+			ErrBadFrame, max(h.Version, h.MaxVersion), protoMaxVersion)
 	}
-	return h.Version
-}
-
-// effectiveVersion negotiates the protocol for a connection: the minimum
-// of our own maximum and the remote hello's announced maximum. Both sides
-// compute the same value because both see both maxima.
-func effectiveVersion(ourMax int, remote helloFrame) int {
-	theirs := announcedMax(remote)
-	if ourMax < theirs {
-		return ourMax
-	}
-	return theirs
-}
-
-// makeHello builds the hello this process sends for a connection capped at
-// maxVer. The baseline version stays 2 for wire compatibility; max_version
-// is announced only when the cap allows something newer.
-func makeHello(maxVer int, traceID string) helloFrame {
-	h := helloFrame{Magic: protoMagic, Version: protoVersion, TraceID: traceID}
-	if maxVer > protoVersion {
-		h.MaxVersion = maxVer
-	}
-	return h
+	return nil
 }
 
 // frameName maps a frame type to the label telemetry and logs use.
@@ -141,8 +115,8 @@ func frameName(ft byte) string {
 	return "unknown"
 }
 
-// frameWireBytes is the full on-wire size of a v2 frame with the given
-// payload length (the 5-byte header plus payload).
+// frameWireBytes is the full on-wire size of a plain (handshake) frame
+// with the given payload length: the 5-byte header plus payload.
 func frameWireBytes(payloadLen int) int { return payloadLen + 5 }
 
 // frameWireBytesV3 is the v3 equivalent: the header grows a u16 channel id.
@@ -163,11 +137,8 @@ var (
 
 // helloFrame opens a connection in both directions. TraceID correlates
 // one cluster solve across coordinator and peer logs; it is additive
-// (omitted when empty), so version 1 peers and coordinators interoperate
-// regardless of which side sends it. MaxVersion is likewise additive: a
-// process that can speak multiplexed v3 frames announces max_version: 3
-// while keeping version: 2, and the connection runs at the minimum of
-// both sides' announced maxima (see effectiveVersion).
+// (omitted when empty). MaxVersion is the highest protocol version the
+// sender speaks; it must be at least 3 (see requireV3).
 type helloFrame struct {
 	Magic      string `json:"magic"`
 	Version    int    `json:"version"`

@@ -11,8 +11,9 @@ import (
 // FuzzPeerFrame hammers the peer protocol's binary codecs: arbitrary bytes
 // must decode without panicking or over-allocating, and everything that
 // decodes must re-encode to the same bytes (the codecs are canonical).
-// Seeds cover the frame layer, the boundary codec and the combined relay
-// codec; the fuzzer mutates from there.
+// Seeds cover both frame layers (plain handshake framing and the
+// multiplexed framing every later frame uses), the boundary codec and the
+// combined relay codec; the fuzzer mutates from there.
 func FuzzPeerFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, ftBoundary})
@@ -33,6 +34,11 @@ func FuzzPeerFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(framed.Bytes())
+	var framedV3 bytes.Buffer
+	if err := writeFrameV3(&framedV3, 2, ftCoverage, encodeCoverage(nil, 4, 9)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(framedV3.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Frame layer: must never panic, and on success the re-framed bytes
@@ -45,6 +51,18 @@ func FuzzPeerFrame(f *testing.F) {
 			ft2, payload2, err := readFrame(&buf)
 			if err != nil || ft2 != ft || !bytes.Equal(payload2, payload) {
 				t.Fatalf("frame round-trip diverged: %v", err)
+			}
+		}
+
+		// Multiplexed frame layer: same properties, channel id included.
+		if ch, ft, payload, err := readFrameV3(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := writeFrameV3(&buf, ch, ft, payload); err != nil {
+				t.Fatalf("v3 re-frame failed: %v", err)
+			}
+			ch2, ft2, payload2, err := readFrameV3(&buf)
+			if err != nil || ch2 != ch || ft2 != ft || !bytes.Equal(payload2, payload) {
+				t.Fatalf("v3 frame round-trip diverged: %v", err)
 			}
 		}
 

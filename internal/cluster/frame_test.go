@@ -23,6 +23,21 @@ func TestFrameRoundTrip(t *testing.T) {
 	if ft != ftSetup || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: type %d payload %q", ft, got)
 	}
+
+	// Multiplexed framing: the channel id rides along.
+	if err := writeFrameV3(&buf, 517, ftBoundary, payload); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != frameWireBytesV3(len(payload)) {
+		t.Fatalf("v3 frame is %d bytes on the wire, want %d", buf.Len(), frameWireBytesV3(len(payload)))
+	}
+	ch, ft, got, err := readFrameV3(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch != 517 || ft != ftBoundary || !bytes.Equal(got, payload) {
+		t.Fatalf("v3 round trip: channel %d type %d payload %q", ch, ft, got)
+	}
 }
 
 func TestFrameRejectsOversizeAndUnknown(t *testing.T) {
@@ -44,6 +59,33 @@ func TestFrameRejectsOversizeAndUnknown(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-3]
 	if _, _, err := readFrame(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated: err = %v, want ErrUnexpectedEOF", err)
+	}
+
+	// The same three rejections under multiplexed framing. The oversize
+	// header is followed by nothing: rejecting it must not try to read
+	// (let alone allocate) the declared payload.
+	hdr3 := []byte{0xff, 0xff, 0xff, 0xff, ftSetup, 0, 1}
+	if _, _, _, err := readFrameV3(bytes.NewReader(hdr3)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("v3 oversize: err = %v, want ErrFrameTooLarge", err)
+	}
+	bad3 := []byte{0, 0, 0, 0, 99, 0, 1}
+	if _, _, _, err := readFrameV3(bytes.NewReader(bad3)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("v3 unknown type: err = %v, want ErrBadFrame", err)
+	}
+	if _, _, _, err := readFrameV3(bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 1})); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("v3 type 0: err = %v, want ErrBadFrame", err)
+	}
+	buf.Reset()
+	if err := writeFrameV3(&buf, 3, ftBoundary, []byte("abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	trunc = buf.Bytes()[:buf.Len()-3]
+	if _, _, _, err := readFrameV3(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("v3 truncated: err = %v, want ErrUnexpectedEOF", err)
+	}
+	// A header cut inside the channel id is truncated too.
+	if _, _, _, err := readFrameV3(bytes.NewReader(buf.Bytes()[:6])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("v3 truncated header: err = %v, want ErrUnexpectedEOF", err)
 	}
 }
 

@@ -16,10 +16,11 @@ import (
 	"distcover/internal/telemetry"
 )
 
-// Peer serves one partition's share of cluster solves. A coverd process in
-// peer mode runs one Peer next to its HTTP listener; each incoming
-// connection carries exactly one solve (hello, setup, the per-iteration
-// boundary/coverage exchange, result) and peers keep no state between
+// Peer serves partitions of cluster solves. A coverd process in peer mode
+// runs one Peer next to its HTTP listener; each incoming connection carries
+// one solve's partitions assigned to this process, one multiplexed channel
+// per partition (setup, the per-iteration boundary/coverage exchange,
+// result), or one invalidation. Peers keep no solve state between
 // connections — a restarted peer serves the next solve as if nothing
 // happened, which is what makes coordinator-side retry after ErrPeerLost
 // sound.
@@ -44,10 +45,6 @@ type Peer struct {
 	// instance cache retains (0 = DefaultInstanceCacheBudget). Must be set
 	// before the first connection is served.
 	InstanceCacheBudget int64
-	// MaxProtocol caps the protocol version this peer announces in its
-	// hello (0 = the newest this build speaks). Setting 2 disables
-	// multiplexing: every connection carries one partition, as before v3.
-	MaxProtocol int
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -182,39 +179,33 @@ func (p *Peer) timeout() time.Duration {
 	return DefaultTimeout
 }
 
-// handle runs one connection. The hello exchange negotiates the protocol
-// version; a v2 connection carries exactly one stream (one partition solve
-// or one invalidation), a v3 connection is demultiplexed into one stream
-// per channel so co-located partitions share the socket. Solver-level
-// failures are reported to the coordinator as an error frame; transport
-// failures just drop the connection (the coordinator sees them as
-// ErrPeerLost).
+// handle runs one connection: the hello exchange in plain framing, then
+// the multiplexed streams. A coordinator whose hello announces less than
+// protocol v3 gets an error frame in place of the hello reply, and the
+// connection closes. Solver-level failures are reported to the
+// coordinator as an error frame; transport failures just drop the
+// connection (the coordinator sees them as ErrPeerLost).
 func (p *Peer) handle(conn net.Conn) error {
 	d := p.timeout()
 	hello, err := expectHello(conn, d)
 	if err != nil {
 		return err
 	}
+	if err := requireV3(hello); err != nil {
+		if werr := writeJSONFrameTimeout(conn, d, ftError, errorFrame{Message: err.Error()}); werr != nil {
+			return werr
+		}
+		return err
+	}
 	// Echo the coordinator's trace id in the reply so either side's log
-	// carries it from the handshake on; announce our own protocol maximum
-	// for the version negotiation.
-	myMax := clampMaxProtocol(p.MaxProtocol)
-	reply := makeHello(myMax, hello.TraceID)
-	if err := writeJSONFrameTimeout(conn, d, ftHello, reply); err != nil {
+	// carries it from the handshake on.
+	if err := writeJSONFrameTimeout(conn, d, ftHello, makeHello(hello.TraceID)); err != nil {
 		return err
 	}
-	if effectiveVersion(myMax, hello) >= 3 {
-		return p.serveMux(conn, hello)
-	}
-	rw := &connRW{conn: conn, d: d, tr: p.Tracer}
-	ft, payload, err := rw.recvFrame()
-	if err != nil {
-		return err
-	}
-	return p.handleStream(rw, conn.LocalAddr().String(), hello, ft, payload)
+	return p.serveMux(conn, hello)
 }
 
-// serveMux demultiplexes one v3 connection: the read loop runs on this
+// serveMux demultiplexes one connection: the read loop runs on this
 // goroutine and spawns one handleStream goroutine per incoming channel
 // (its first frame must open a setup or invalidate conversation). The
 // connection is done when the read loop exits — coordinator closed it, a
@@ -429,8 +420,7 @@ func writeJSONFrameTimeout(conn net.Conn, d time.Duration, ft byte, v any) error
 
 // rwExchanger implements core.Exchanger over the peer's coordinator-facing
 // stream: it publishes the local frame and blocks for the combined one.
-// Frame accounting lives in the stream implementation, so the exchanger is
-// identical on plain and multiplexed connections.
+// Frame accounting lives in the stream implementation.
 type rwExchanger struct {
 	rw  frameRW
 	buf []byte

@@ -10,11 +10,10 @@ import (
 )
 
 // This file is the transport layer both endpoints share: a frameRW is one
-// logical frame stream, which protocol v2 maps onto a whole TCP connection
-// and protocol v3 maps onto one channel of a multiplexed connection. The
-// coordinator's relay goroutines and the peer's partition handlers are
-// written against frameRW only, so the relay logic is identical on both
-// wire formats.
+// logical frame stream. After the hello exchange every stream is one
+// channel of a multiplexed (v3) connection; the coordinator's relay
+// goroutines and the peer's partition handlers are written against
+// frameRW only.
 
 // frameRW sends and receives frames on one logical stream. Implementations
 // own their deadline handling and account every frame on the telemetry
@@ -27,9 +26,9 @@ type frameRW interface {
 	recvFrame() (byte, []byte, error)
 }
 
-// connRW is the v2 stream: one connection, one partition. peer is the
-// telemetry label ("" on the peer side, the remote address on the
-// coordinator side).
+// connRW is a whole connection in plain framing. Only the coordinator's
+// hello exchange uses it; every later frame is multiplexed. peer is the
+// telemetry label (the remote address).
 type connRW struct {
 	conn net.Conn
 	d    time.Duration
@@ -81,7 +80,7 @@ type mux struct {
 	conn net.Conn
 	d    time.Duration
 	tr   telemetry.Tracer
-	peer string // telemetry label, as in connRW
+	peer string // telemetry label: "" on the peer side, the remote address on the coordinator side
 
 	// onNew accepts a new incoming channel (peer side), typically by
 	// starting its handler. It runs on the readLoop goroutine after the

@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,9 +56,8 @@ func startCountingPeer(t *testing.T, mod func(*Peer)) (string, *countingListener
 	return ln.Addr().String(), cl
 }
 
-// TestClusterMultiplexSharesConnection: with default negotiation (v3), all
-// partitions assigned to one peer process ride a single multiplexed TCP
-// connection; forcing MaxProtocol 2 opens one connection per partition.
+// TestClusterMultiplexSharesConnection: all partitions assigned to one
+// peer process ride a single multiplexed TCP connection.
 func TestClusterMultiplexSharesConnection(t *testing.T) {
 	g := testInstance(t, 21, 60, 180, 3)
 	opts := core.DefaultOptions()
@@ -69,70 +73,111 @@ func TestClusterMultiplexSharesConnection(t *testing.T) {
 	}
 	requireResultsEqual(t, "mux", got, want)
 	if n := cl.accepted.Load(); n != 1 {
-		t.Fatalf("v3 solve with 4 partitions opened %d connections, want 1 multiplexed", n)
-	}
-
-	addr2, cl2 := startCountingPeer(t, nil)
-	got, err = Solve(g, opts, Config{Peers: []string{addr2}, Partitions: 4, MaxProtocol: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireResultsEqual(t, "forced-v2", got, want)
-	if n := cl2.accepted.Load(); n != 4 {
-		t.Fatalf("forced-v2 solve with 4 partitions opened %d connections, want 4", n)
+		t.Fatalf("solve with 4 partitions opened %d connections, want 1 multiplexed", n)
 	}
 }
 
-// TestClusterSequentialRelayMatchesFlat: the historical sequential relay
-// (always plain v2) stays bit-identical to the flat runner and to the
-// concurrent fan-out relay.
-func TestClusterSequentialRelayMatchesFlat(t *testing.T) {
-	addrs := startPeers(t, 2)
-	g := testInstance(t, 22, 50, 150, 3)
-	opts := core.DefaultOptions()
-	opts.Epsilon = 0.5
-	want, err := core.RunFlat(g, opts, 2)
+// v2OnlyPeer is a fake peer that answers every hello the way a build
+// without multiplexing would — a version-2 hello with no max_version — and
+// then waits for the coordinator to hang up.
+func v2OnlyPeer(t *testing.T) (addr string, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parts := range []int{2, 4} {
-		got, err := Solve(g, opts, Config{Peers: addrs, Partitions: parts, SequentialRelay: true})
-		if err != nil {
-			t.Fatalf("sequential parts %d: %v", parts, err)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			func() {
+				defer conn.Close()
+				if _, err := expectHello(conn, time.Second); err != nil {
+					return
+				}
+				if err := writeJSONFrame(conn, ftHello, helloFrame{Magic: protoMagic, Version: protoVersion}); err != nil {
+					return
+				}
+				readFrameTimeout(conn, 5*time.Second) // until the coordinator closes
+			}()
 		}
-		requireResultsEqual(t, "sequential", got, want)
-	}
+	}()
+	var once sync.Once
+	stop = func() { once.Do(func() { ln.Close(); <-done }) }
+	t.Cleanup(stop)
+	return ln.Addr().String(), stop
 }
 
-// TestClusterMixedVersionPeers: a v2-only peer process and a v3 peer in the
-// same solve — negotiation settles per connection, results stay identical.
+// TestClusterMixedVersionPeers: protocol v2 and v3 processes refuse each
+// other at the hello, in both directions, and leave no goroutine behind.
+// A coordinator that meets a v2-only peer fails the solve at once with an
+// error naming the peer and wrapping ErrBadFrame — never ErrPeerLost,
+// which would invite a retry that cannot help. A peer that receives a
+// v2-only hello answers with an error frame and closes the connection.
 func TestClusterMixedVersionPeers(t *testing.T) {
-	v2addr, v2l := startCountingPeer(t, func(p *Peer) { p.MaxProtocol = 2 })
-	v3addr, v3l := startCountingPeer(t, nil)
-	g := testInstance(t, 23, 60, 180, 3)
-	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Solve(g, opts, Config{Peers: []string{v2addr, v3addr}, Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireResultsEqual(t, "mixed", got, want)
-	// The v2-only peer holds partitions 0 and 2 on two plain connections;
-	// the v3 peer multiplexes partitions 1 and 3 onto one.
-	if n := v2l.accepted.Load(); n != 2 {
-		t.Fatalf("v2-only peer saw %d connections, want 2", n)
-	}
-	if n := v3l.accepted.Load(); n != 1 {
-		t.Fatalf("v3 peer saw %d connections, want 1", n)
-	}
+	before := runtime.NumGoroutine()
+	func() {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPeer()
+		served := make(chan error, 1)
+		go func() { served <- p.Serve(ln) }()
+		defer func() {
+			p.Close()
+			<-served
+		}()
+		real := ln.Addr().String()
+		old, stopOld := v2OnlyPeer(t)
+		defer stopOld()
+
+		// Coordinator side: a mixed fleet fails fast with ErrBadFrame.
+		g := testInstance(t, 23, 60, 180, 3)
+		const timeout = 10 * time.Second
+		start := time.Now()
+		_, err = Solve(g, core.DefaultOptions(), Config{Peers: []string{real, old}, Partitions: 4, Timeout: timeout})
+		if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrPeerLost) {
+			t.Fatalf("err = %v, want ErrBadFrame and not ErrPeerLost", err)
+		}
+		if !strings.Contains(err.Error(), old) {
+			t.Fatalf("err = %v, want it to name the peer %s", err, old)
+		}
+		if d := time.Since(start); d > timeout/4 {
+			t.Fatalf("refusal took %v against a %v timeout", d, timeout)
+		}
+
+		// Peer side: a v2-only hello gets an error frame, then EOF.
+		conn, err := net.DialTimeout("tcp", real, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeJSONFrame(conn, ftHello, helloFrame{Magic: protoMagic, Version: protoVersion}); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := readFrameTimeout(conn, 5*time.Second)
+		if err != nil || ft != ftError {
+			t.Fatalf("v2 hello answered with ft=%d err=%v, want an error frame", ft, err)
+		}
+		var ef errorFrame
+		if err := json.Unmarshal(payload, &ef); err != nil || !strings.Contains(ef.Message, "v3 required") {
+			t.Fatalf("error frame %q (%v), want it to require protocol v3", payload, err)
+		}
+		if _, _, err := readFrameTimeout(conn, 5*time.Second); !errors.Is(err, io.EOF) {
+			t.Fatalf("after refusal: err = %v, want EOF", err)
+		}
+	}()
+	waitGoroutinesBack(t, before)
 }
 
-// TestClusterInvalidateVersions: Invalidate reaches peers over both the
-// multiplexed v3 path and a forced-v2 connection, and actually evicts — the
-// peer-side cache tracer sees miss, hit, then miss again after Invalidate.
+// TestClusterInvalidateVersions: Invalidate reaches the peer over channel
+// 0 of a multiplexed connection and actually evicts — the peer-side cache
+// tracer sees miss, hit, then miss again after each Invalidate.
 func TestClusterInvalidateVersions(t *testing.T) {
 	rec := telemetry.NewRecorder("")
 	addr, _ := startCountingPeer(t, func(p *Peer) { p.Tracer = rec })
@@ -162,19 +207,14 @@ func TestClusterInvalidateVersions(t *testing.T) {
 	if h, m := counts(); m != 1 || h != 1 {
 		t.Fatalf("warm solve: hits=%d misses=%d, want 1/1", h, m)
 	}
-	if err := Invalidate(g.Hash(), cfg); err != nil {
-		t.Fatalf("invalidate (v3): %v", err)
-	}
-	solve()
-	if h, m := counts(); m != 2 {
-		t.Fatalf("post-invalidate solve: hits=%d misses=%d, want a second miss", h, m)
-	}
-	if err := Invalidate(g.Hash(), Config{Peers: []string{addr}, MaxProtocol: 2}); err != nil {
-		t.Fatalf("invalidate (v2): %v", err)
-	}
-	solve()
-	if _, m := counts(); m != 3 {
-		t.Fatalf("post-v2-invalidate solve: misses=%d, want 3", m)
+	for want := 2; want <= 3; want++ {
+		if err := Invalidate(g.Hash(), cfg); err != nil {
+			t.Fatalf("invalidate: %v", err)
+		}
+		solve()
+		if h, m := counts(); m != want {
+			t.Fatalf("post-invalidate solve: hits=%d misses=%d, want %d misses", h, m, want)
+		}
 	}
 }
 
@@ -205,25 +245,6 @@ func TestClusterFanOutTracer(t *testing.T) {
 			ps.BytesSent == 0 || ps.BytesReceived == 0 {
 			t.Fatalf("peer %s: missing frame accounting: %+v", ps.Peer, ps)
 		}
-	}
-}
-
-// TestClusterForcedV2MatchesFlat sweeps partition counts over forced-v2
-// connections (wire-compat regression for talking to older peers).
-func TestClusterForcedV2MatchesFlat(t *testing.T) {
-	addrs := startPeers(t, 2)
-	g := testInstance(t, 26, 50, 150, 3)
-	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 2, 3, 4} {
-		got, err := Solve(g, opts, Config{Peers: addrs, Partitions: parts, MaxProtocol: 2})
-		if err != nil {
-			t.Fatalf("parts %d: %v", parts, err)
-		}
-		requireResultsEqual(t, "forced-v2", got, want)
 	}
 }
 
@@ -262,13 +283,9 @@ func TestMuxPeerAnswersEveryNewChannel(t *testing.T) {
 	const rounds, channels = 100, 16
 	d := 5 * time.Second
 	for round := 0; round < rounds; round++ {
-		conn, ver, err := dialNegotiate(addr, d, nil, 3, "")
+		conn, err := dialPeer(addr, d, nil, "")
 		if err != nil {
 			t.Fatal(err)
-		}
-		if ver != 3 {
-			conn.Close()
-			t.Fatalf("negotiated protocol %d, want 3", ver)
 		}
 		m := newMux(conn, d, nil, addr)
 		rws := make([]frameRW, channels)

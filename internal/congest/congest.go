@@ -5,11 +5,8 @@
 // The package provides interchangeable engines with identical semantics:
 //
 //   - SequentialEngine executes nodes one at a time in a deterministic order;
-//     it is simple, fully reproducible and the reference implementation.
-//   - ParallelEngine runs every node as its own goroutine with channels
-//     carrying the messages and a barrier per round — the natural Go
-//     embedding of the model, but goroutine and channel overhead dominate on
-//     large networks.
+//     it is simple, fully reproducible and the reference implementation the
+//     differential tests compare every other engine against.
 //   - ShardedEngine partitions the nodes over a fixed worker pool and routes
 //     messages through flat slice mailboxes; it is the engine for large
 //     instances (millions of nodes) and produces bit-identical results.
@@ -31,8 +28,8 @@ type NodeID int
 
 // Message is a payload sent along one link in one round. Implementations
 // report their encoded size in bits so the engine can enforce the CONGEST
-// budget. Messages must be immutable after sending: the parallel engine
-// delivers them to another goroutine.
+// budget. Messages must be immutable after sending: the sharded engine
+// delivers them to a node stepped by another worker goroutine.
 type Message interface {
 	// Bits returns the number of bits a real implementation would need to
 	// encode this message. Used for CONGEST accounting and enforcement.
@@ -66,14 +63,14 @@ func (o *Outbox) Len() int { return len(o.sends) }
 // an outbox for this round's sends. Round 0 has an empty inbox. Every engine
 // delivers the inbox sorted by ascending sender id — protocol nodes may (and
 // the ones in internal/core do) rely on that order. The inbox slice is only
-// valid for the duration of Step: engines (the sharded one today) may reuse
+// valid for the duration of Step: the sequential and sharded engines reuse
 // its backing storage for later rounds, so nodes must copy anything they
 // keep.
 //
 // A node signals local termination by returning done = true; a done node is
 // never stepped again and messages sent to it are dropped (it has already
 // decided its output). Step must only access the node's own state: the
-// parallel engine calls Step on different nodes concurrently.
+// sharded engine calls Step on nodes of different shards concurrently.
 type Node interface {
 	Step(round int, inbox []Envelope, out *Outbox) (done bool)
 }

@@ -77,7 +77,6 @@ func buildPath(n int) (*Network, []*bfsNode) {
 func engines() map[string]Engine {
 	return map[string]Engine{
 		"sequential": SequentialEngine{},
-		"parallel":   ParallelEngine{},
 		"sharded":    ShardedEngine{},
 		"sharded-3":  ShardedEngine{Shards: 3},
 	}

@@ -154,9 +154,10 @@ func (e NetEngine) Run(nw *Network, opts Options) (Metrics, error) {
 			if done[id] {
 				continue
 			}
+			// deliver appends in ascending sender order, so the inbox is
+			// already sender-sorted like the other engines'.
 			inbox := inboxes[id]
 			inboxes[id] = nil
-			sortInbox(inbox)
 			wire, err := e.encodeEnvelopes(inbox)
 			if err != nil {
 				shutdown()
@@ -202,6 +203,47 @@ func (e NetEngine) Run(nw *Network, opts Options) (Metrics, error) {
 	default:
 	}
 	return metrics, nil
+}
+
+// deliver validates and moves one node's outbox into the next-round
+// inboxes. The coordinator calls it for every active node in ascending id
+// order, so each inbox is built sorted by sender.
+func deliver(nw *Network, from NodeID, out *Outbox, next [][]Envelope,
+	done []bool, opts Options, metrics *Metrics, roundMsgs *int64) error {
+	if opts.Validate && len(out.sends) > 1 {
+		seen := make(map[NodeID]bool, len(out.sends))
+		for _, s := range out.sends {
+			if seen[s.From] {
+				return fmt.Errorf("%w: node %d -> %d", ErrDuplicateSend, from, s.From)
+			}
+			seen[s.From] = true
+		}
+	}
+	for _, s := range out.sends {
+		to := s.From // Outbox.Send stores the destination in From
+		if !nw.valid(to) {
+			return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, from, to)
+		}
+		if opts.Validate && !isNeighbor(nw, from, to) {
+			return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, from, to)
+		}
+		b := s.Msg.Bits()
+		if opts.BitBudget > 0 && b > opts.BitBudget {
+			return fmt.Errorf("%w: %d bits > budget %d (node %d -> %d, %T)",
+				ErrMessageTooLarge, b, opts.BitBudget, from, to, s.Msg)
+		}
+		metrics.Messages++
+		*roundMsgs++
+		metrics.TotalBits += int64(b)
+		if b > metrics.MaxMessageBits {
+			metrics.MaxMessageBits = b
+		}
+		if done[to] {
+			continue // receiver already decided; message dropped
+		}
+		next[to] = append(next[to], Envelope{From: from, Msg: s.Msg})
+	}
+	return nil
 }
 
 // encodeEnvelopes pre-encodes an inbox with the codec.

@@ -1,9 +1,6 @@
 package congest
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SequentialEngine executes all nodes in id order within each round. Runs
 // are fully deterministic and this is the reference implementation the
@@ -138,47 +135,6 @@ func (SequentialEngine) Run(nw *Network, opts Options) (Metrics, error) {
 	return metrics, nil
 }
 
-// deliver validates and moves one node's outbox into the next-round inboxes
-// (used by the goroutine-per-node parallel engine, which delivers outboxes
-// as they are collected).
-func deliver(nw *Network, from NodeID, out *Outbox, next [][]Envelope,
-	done []bool, opts Options, metrics *Metrics, roundMsgs *int64) error {
-	if opts.Validate && len(out.sends) > 1 {
-		seen := make(map[NodeID]bool, len(out.sends))
-		for _, s := range out.sends {
-			if seen[s.From] {
-				return fmt.Errorf("%w: node %d -> %d", ErrDuplicateSend, from, s.From)
-			}
-			seen[s.From] = true
-		}
-	}
-	for _, s := range out.sends {
-		to := s.From // Outbox.Send stores the destination in From
-		if !nw.valid(to) {
-			return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, from, to)
-		}
-		if opts.Validate && !isNeighbor(nw, from, to) {
-			return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, from, to)
-		}
-		b := s.Msg.Bits()
-		if opts.BitBudget > 0 && b > opts.BitBudget {
-			return fmt.Errorf("%w: %d bits > budget %d (node %d -> %d, %T)",
-				ErrMessageTooLarge, b, opts.BitBudget, from, to, s.Msg)
-		}
-		metrics.Messages++
-		*roundMsgs++
-		metrics.TotalBits += int64(b)
-		if b > metrics.MaxMessageBits {
-			metrics.MaxMessageBits = b
-		}
-		if done[to] {
-			continue // receiver already decided; message dropped
-		}
-		next[to] = append(next[to], Envelope{From: from, Msg: s.Msg})
-	}
-	return nil
-}
-
 func isNeighbor(nw *Network, a, b NodeID) bool {
 	// Scan the smaller adjacency list.
 	la, lb := nw.adj[a], nw.adj[b]
@@ -192,10 +148,4 @@ func isNeighbor(nw *Network, a, b NodeID) bool {
 		}
 	}
 	return false
-}
-
-func sortInbox(in []Envelope) {
-	if len(in) > 1 {
-		sort.Slice(in, func(i, j int) bool { return in[i].From < in[j].From })
-	}
 }

@@ -23,7 +23,7 @@ import (
 // the sequential engine would deliver. The differential tests in this
 // package and at the repository root verify this across all engines.
 //
-// Unlike the other engines, inbox slices handed to Step alias an internal
+// As with SequentialEngine, inbox slices handed to Step alias an internal
 // arena that is rewritten the following round; nodes must not retain them
 // after Step returns (none of the protocols in this repository do).
 type ShardedEngine struct {
@@ -90,12 +90,12 @@ func (r *shardedRun) stepShard(s int) {
 	r.outboxes[s] = ob
 }
 
-// validateSends applies the Validate-mode topology rules to one shard's
-// sends: every destination must be a neighbor, and no sender may repeat a
-// destination within the round. Sends are contiguous per sender (stepShard
-// appends them in node order), so seen — reused across calls to avoid
-// reallocation — is cleared at each sender-group boundary, exactly the
-// per-outbox check deliver() runs for the sequential engine.
+// validateSends applies the Validate-mode topology rules to a round's
+// sends (one shard's for ShardedEngine, all of them for SequentialEngine):
+// every destination must be a neighbor, and no sender may repeat a
+// destination within the round. Sends are contiguous per sender (both
+// engines append them in node order), so seen — reused across calls to
+// avoid reallocation — is cleared at each sender-group boundary.
 func validateSends(nw *Network, sends []send, seen map[NodeID]bool) error {
 	for i, s := range sends {
 		if i == 0 || sends[i-1].from != s.from {
@@ -232,7 +232,7 @@ func (e ShardedEngine) Run(nw *Network, opts Options) (Metrics, error) {
 
 		// Build the next arena with a stable counting sort by destination.
 		// Senders are visited in ascending order, so every inbox comes out
-		// sorted by sender — the order sortInbox would have produced.
+		// sorted by sender.
 		if cap(nextArena) < int(total) {
 			nextArena = make([]Envelope, total)
 		}

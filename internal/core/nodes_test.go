@@ -118,7 +118,10 @@ func TestCongestMatchesLockstepProperty(t *testing.T) {
 	}
 }
 
-func TestCongestParallelEngineAgrees(t *testing.T) {
+// TestCongestShardedEngineAgrees: the sharded engine, stepping shards on
+// concurrent workers, reproduces the sequential reference's result and
+// CONGEST metrics exactly.
+func TestCongestShardedEngineAgrees(t *testing.T) {
 	g, err := hypergraph.UniformRandom(30, 60, 3,
 		hypergraph.GenConfig{Seed: 11, Dist: hypergraph.WeightUniformRange, MaxWeight: 25})
 	if err != nil {
@@ -128,13 +131,13 @@ func TestCongestParallelEngineAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, parM, err := RunCongest(g, DefaultOptions(), congest.ParallelEngine{}, congest.Options{Validate: true})
+	shRes, shM, err := RunCongest(g, DefaultOptions(), congest.ShardedEngine{Shards: 3}, congest.Options{Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, seqRes, parRes)
-	if seqM != parM {
-		t.Errorf("metrics differ: sequential %+v vs parallel %+v", seqM, parM)
+	requireSameResult(t, seqRes, shRes)
+	if seqM != shM {
+		t.Errorf("metrics differ: sequential %+v vs sharded %+v", seqM, shM)
 	}
 }
 

@@ -97,7 +97,6 @@ func TestResidualLockstepCongestParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260730))
 	engines := map[string]congest.Engine{
 		"sequential": congest.SequentialEngine{},
-		"parallel":   congest.ParallelEngine{},
 		"sharded":    congest.ShardedEngine{Shards: 3},
 	}
 	fixtures := 0

@@ -77,8 +77,6 @@ func (c *solveConfig) startSpan(engine string) func() {
 // phase metrics use for the configured CONGEST engine.
 func (c *solveConfig) congestEngineName() string {
 	switch c.engine {
-	case engineParallel:
-		return "congest-parallel"
 	case engineSharded:
 		return "congest-sharded"
 	case engineTCP:
@@ -92,7 +90,6 @@ type engineKind int
 
 const (
 	engineSequential engineKind = iota
-	engineParallel
 	engineSharded
 	engineTCP
 )
@@ -226,15 +223,10 @@ func WithSequentialEngine() Option {
 	})
 }
 
-// WithParallelEngine makes SolveCongest run every network node as its own
-// goroutine with channel-based message delivery. Results are identical to
-// the default deterministic sequential engine. Ignored by Solve.
-func WithParallelEngine() Option {
-	return optionFunc(func(c *solveConfig) {
-		c.engine = engineParallel
-		c.congest = true
-	})
-}
+// WithParallelEngine selects the sharded engine.
+//
+// Deprecated: use WithShardedEngine.
+func WithParallelEngine() Option { return WithShardedEngine() }
 
 // WithShardedEngine makes SolveCongest run the network on the sharded
 // engine: nodes are partitioned over a fixed worker pool and messages are
@@ -277,8 +269,6 @@ func buildOptions(opts []Option) core.Options {
 // buildEngine materializes the configured CONGEST engine.
 func (c solveConfig) buildEngine() congest.Engine {
 	switch c.engine {
-	case engineParallel:
-		return congest.ParallelEngine{}
 	case engineSharded:
 		return congest.ShardedEngine{Shards: c.shards}
 	case engineTCP:

@@ -36,7 +36,8 @@ const (
 	// EngineCongest runs the real message protocol on the deterministic
 	// sequential CONGEST engine (distcover.SolveCongest).
 	EngineCongest = "congest"
-	// EngineCongestParallel runs every CONGEST node as its own goroutine.
+	// EngineCongestParallel is an alias of EngineCongestSharded, kept so
+	// clients that name the removed goroutine-per-node engine still work.
 	EngineCongestParallel = "congest-parallel"
 	// EngineCongestSharded runs the CONGEST network on the sharded engine:
 	// a fixed worker pool over node partitions with flat slice mailboxes.
@@ -72,8 +73,9 @@ type SolveOptions struct {
 	// Engine selects the execution path; see the Engine* constants.
 	// Empty means EngineSim.
 	Engine string `json:"engine,omitempty"`
-	// Shards sets the node-partition count for EngineCongestSharded
-	// (0 = one shard per CPU). Ignored by the other engines.
+	// Shards sets the node-partition count for EngineCongestSharded and
+	// its alias EngineCongestParallel (0 = one shard per CPU). Ignored by
+	// the other engines.
 	Shards int `json:"shards,omitempty"`
 	// Parallelism sets the worker count for EngineFlat (0 = one worker per
 	// CPU). Ignored by the other engines; never changes results.

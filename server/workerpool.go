@@ -255,9 +255,7 @@ func sessionLibOptions(o api.SolveOptions, cluster clusterSettings) ([]distcover
 		opts = append(opts, copts...)
 	case api.EngineCongest:
 		opts = append(opts, distcover.WithSequentialEngine())
-	case api.EngineCongestParallel:
-		opts = append(opts, distcover.WithParallelEngine())
-	case api.EngineCongestSharded:
+	case api.EngineCongestParallel, api.EngineCongestSharded:
 		opts = append(opts, distcover.WithShardedEngine(), distcover.WithShardCount(o.Shards))
 	case api.EngineCongestTCP:
 		opts = append(opts, distcover.WithTCPEngine())
@@ -314,9 +312,7 @@ func solve(inst *distcover.Instance, ilp *distcover.ILP, o api.SolveOptions, clu
 		return coverResult(sol, nil), nil
 	case api.EngineCongest, api.EngineCongestParallel, api.EngineCongestSharded, api.EngineCongestTCP:
 		switch o.Engine {
-		case api.EngineCongestParallel:
-			opts = append(opts, distcover.WithParallelEngine())
-		case api.EngineCongestSharded:
+		case api.EngineCongestParallel, api.EngineCongestSharded:
 			opts = append(opts, distcover.WithShardedEngine(), distcover.WithShardCount(o.Shards))
 		case api.EngineCongestTCP:
 			opts = append(opts, distcover.WithTCPEngine())

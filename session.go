@@ -83,10 +83,10 @@ var ErrSessionClosed = errors.New("distcover: session closed")
 // WithFlatEngine routes the initial solve and every residual re-solve
 // through the chunk-parallel flat runner instead (bit-identical results,
 // wall-clock scaling with cores). Give a CONGEST engine option —
-// WithSequentialEngine, WithParallelEngine, WithShardedEngine,
-// WithTCPEngine — to run both as the real message protocol on that engine;
-// the residual network contains only the dirty vertices and edges, so on
-// the sharded engine only the shards that received new work step at all.
+// WithSequentialEngine, WithShardedEngine, WithTCPEngine — to run both as
+// the real message protocol on that engine; the residual network contains
+// only the dirty vertices and edges, so on the sharded engine only the
+// shards that received new work step at all.
 //
 // Sessions are safe for concurrent use; updates serialize internally.
 type Session struct {

@@ -145,7 +145,6 @@ func TestSessionCongestEngines(t *testing.T) {
 	}
 	for name, opt := range map[string]Option{
 		"sequential": WithSequentialEngine(),
-		"parallel":   WithParallelEngine(),
 		"sharded":    WithShardedEngine(),
 	} {
 		s, err := NewSession(inst, WithEpsilon(0.5), opt)
