@@ -13,13 +13,13 @@ import (
 	"distcover/internal/reduction"
 )
 
-// equivalenceEngines are the in-memory engines that must be bit-identical.
-// (The TCP engine is exercised separately in internal/core; it is too slow
-// for 50-instance sweeps.)
+// equivalenceEngines are the engines that must be bit-identical to the
+// sequential reference, the TCP engine and its wire codec included.
 func equivalenceEngines() map[string]congest.Engine {
 	return map[string]congest.Engine{
 		"sharded":   congest.ShardedEngine{},
 		"sharded-5": congest.ShardedEngine{Shards: 5},
+		"tcp":       congest.NetEngine{Codec: core.WireCodec{}},
 	}
 }
 
@@ -103,7 +103,7 @@ func randomEquivalenceInstance(t *testing.T, rng *rand.Rand, i int) *hypergraph.
 
 // TestEngineEquivalenceOnCoverProtocol is the cross-engine differential
 // property test: on 50 random weighted instances (including f>2 and
-// ILP-reduction shapes) the sequential and sharded engines must
+// ILP-reduction shapes) the sequential, sharded and TCP engines must
 // produce identical covers, identical metrics.Rounds, and identical
 // message-bit accounting — and the flat chunk-parallel solver must match
 // them bit for bit (covers, duals, iterations) at every worker count from

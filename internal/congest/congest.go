@@ -2,16 +2,20 @@
 // computation proceeds in rounds, in every round each node may send one
 // message per incident link, and message sizes are bounded by O(log n) bits.
 //
-// The package provides interchangeable engines with identical semantics:
+// Every engine runs the same round loop (runRounds in round.go), which
+// enforces the round limit, the Validate checks and the bit budget, keeps
+// the Metrics, delivers the messages and commits termination. An engine
+// supplies only the step that runs every active node once per round:
 //
-//   - SequentialEngine executes nodes one at a time in a deterministic order;
-//     it is simple, fully reproducible and the reference implementation the
+//   - SequentialEngine steps the nodes one at a time in id order; it is
+//     simple, fully reproducible and the reference implementation the
 //     differential tests compare every other engine against.
-//   - ShardedEngine partitions the nodes over a fixed worker pool and routes
-//     messages through flat slice mailboxes; it is the engine for large
-//     instances (millions of nodes) and produces bit-identical results.
-//   - NetEngine (netengine.go) moves the messages over real TCP loopback
-//     sockets for end-to-end demonstrations.
+//   - ShardedEngine steps contiguous node shards on a fixed worker pool; it
+//     is the engine for large instances (millions of nodes) and produces
+//     bit-identical results.
+//   - NetEngine (netengine.go) runs every node as its own goroutine behind
+//     a real TCP loopback socket and moves inboxes and outboxes as encoded
+//     frames, for end-to-end demonstrations.
 //
 // All engines account rounds, message counts and message bits, and can
 // enforce the CONGEST bit budget, rejecting protocols that cheat.
@@ -42,30 +46,43 @@ type Envelope struct {
 	Msg  Message
 }
 
-// Outbox collects the messages a node sends in one round. A node may send at
-// most one message per neighbor per round; violations are reported when the
-// engine validates the round.
+// Outbox collects the messages a node sends in one round. The engine names
+// the node it is about to step on the Outbox, so every send records its
+// sender; one Outbox may collect the sends of many nodes in turn. A node
+// may send at most one message per neighbor per round; violations are
+// reported when the round loop validates the round.
 type Outbox struct {
-	sends []Envelope // From field abused as destination before delivery
+	from  NodeID // the node being stepped
+	sends []send
+}
+
+// send is one queued message with both endpoints.
+type send struct {
+	from, to NodeID
+	msg      Message
 }
 
 // Send queues a message for delivery to the given neighbor at the start of
 // the next round.
 func (o *Outbox) Send(to NodeID, m Message) {
-	o.sends = append(o.sends, Envelope{From: to, Msg: m})
+	o.sends = append(o.sends, send{from: o.from, to: to, msg: m})
 }
 
-// Len returns the number of queued messages.
-func (o *Outbox) Len() int { return len(o.sends) }
+// reset empties the outbox, dropping its Message references, for reuse.
+func (o *Outbox) reset() {
+	clear(o.sends)
+	o.sends = o.sends[:0]
+}
 
 // Node is a synchronous state machine. The engine calls Step once per round
 // with the messages received (sent to this node in the previous round) and
 // an outbox for this round's sends. Round 0 has an empty inbox. Every engine
 // delivers the inbox sorted by ascending sender id — protocol nodes may (and
 // the ones in internal/core do) rely on that order. The inbox slice is only
-// valid for the duration of Step: the sequential and sharded engines reuse
-// its backing storage for later rounds, so nodes must copy anything they
-// keep.
+// valid for the duration of Step: every engine reuses its backing storage
+// (the round loop's shared envelope arena, or a node goroutine's buffer on
+// NetEngine) for later rounds, so nodes must copy anything they keep. The
+// outbox is likewise only valid during Step.
 //
 // A node signals local termination by returning done = true; a done node is
 // never stepped again and messages sent to it are dropped (it has already

@@ -79,6 +79,7 @@ func engines() map[string]Engine {
 		"sequential": SequentialEngine{},
 		"sharded":    ShardedEngine{},
 		"sharded-3":  ShardedEngine{Shards: 3},
+		"tcp":        NetEngine{Codec: testCodec{}},
 	}
 }
 
@@ -152,6 +153,7 @@ func TestEnginesAgree(t *testing.T) {
 			if (errS == nil) != (errE == nil) {
 				return false
 			}
+			mE.WireBytes = 0 // only the TCP engine moves bytes
 			if !reflect.DeepEqual(mS, mE) {
 				return false
 			}
@@ -272,11 +274,15 @@ func TestDuplicateSendRejected(t *testing.T) {
 }
 
 func TestSendOutOfRangeRejectedEvenWithoutValidate(t *testing.T) {
-	nw := NewNetwork()
-	nw.AddNode(shouter{peer: 99, bits: 1})
-	_, err := SequentialEngine{}.Run(nw, Options{})
-	if !errors.Is(err, ErrNotNeighbor) {
-		t.Errorf("err = %v, want ErrNotNeighbor", err)
+	for name, eng := range engines() {
+		t.Run(name, func(t *testing.T) {
+			nw := NewNetwork()
+			nw.AddNode(shouter{peer: 99, bits: 1})
+			_, err := eng.Run(nw, Options{})
+			if !errors.Is(err, ErrNotNeighbor) {
+				t.Errorf("err = %v, want ErrNotNeighbor", err)
+			}
+		})
 	}
 }
 

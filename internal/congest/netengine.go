@@ -25,11 +25,21 @@ var ErrNoCodec = errors.New("congest: NetEngine requires a codec")
 
 // NetEngine executes the synchronous protocol with every node as its own
 // goroutine connected to a round coordinator over real TCP (loopback by
-// default): inboxes and outboxes cross the sockets as length-prefixed
-// binary frames encoded by the protocol's Codec. Semantics and metrics are
-// identical to SequentialEngine (the coordinator routes deterministically
-// in node-id order); additionally Metrics.WireBytes reports the real bytes
-// moved, which tests compare against the Bits() accounting.
+// default). The coordinator runs the shared round loop; its step writes
+// every active node an inbox frame, lets all of them compute concurrently,
+// and reads their outbox frames back in id order. Delivery happens in the
+// round loop, as on the in-memory engines. Frames, all integers big-endian
+// u32 unless marked:
+//
+//	coordinator → node:  round | entries   (round ^uint32(0): shut down)
+//	node → coordinator:  u8 done | entries
+//	entries:             count | count × (peer | len | len bytes)
+//
+// peer is the sender in an inbox and the destination in an outbox, and the
+// bytes are the message encoded by Codec. Semantics and metrics are
+// identical to the in-memory engines; additionally Metrics.WireBytes
+// reports the bytes of every round frame moved, which tests compare
+// against the Bits() accounting.
 //
 // Every node holds one TCP connection, so instance sizes are bounded by
 // the file-descriptor limit; this engine exists to demonstrate the
@@ -43,19 +53,14 @@ type NetEngine struct {
 
 var _ Engine = NetEngine{}
 
-// frame layout: u32 round | u32 count | count × (u32 peer | u32 len | bytes).
-// The round field doubles as a shutdown signal (^uint32(0)).
-
 const shutdownRound = ^uint32(0)
 
-// Run implements Engine.
-func (e NetEngine) Run(nw *Network, opts Options) (Metrics, error) {
+// Run implements Engine. When I/O with a node fails, the returned error
+// wraps that node's own error too, if it has one (a node that cannot
+// decode its inbox closes its socket, which the coordinator sees as EOF).
+func (e NetEngine) Run(nw *Network, opts Options) (metrics Metrics, err error) {
 	if e.Codec == nil {
 		return Metrics{}, ErrNoCodec
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
 	}
 	addr := e.Addr
 	if addr == "" {
@@ -65,7 +70,6 @@ func (e NetEngine) Run(nw *Network, opts Options) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, fmt.Errorf("congest: listen: %w", err)
 	}
-
 	n := nw.NumNodes()
 	if n == 0 {
 		ln.Close()
@@ -74,14 +78,15 @@ func (e NetEngine) Run(nw *Network, opts Options) (Metrics, error) {
 
 	var wg sync.WaitGroup
 	conns := make([]net.Conn, n)
+	nodeErrs := make([]error, n) // node id's goroutine writes only nodeErrs[id]
+	failed := -1                 // the node whose socket I/O failed, if any
 	// Cleanup order matters on every exit path, error or not: first stop
 	// listening (resets connections still sitting in the accept backlog,
 	// e.g. after a handshake failure), then close every accepted connection
 	// (unblocks node goroutines parked in reads or writes mid-round), and
 	// only then wait for the node goroutines to drain. Waiting before
 	// closing deadlocks: a node blocked on its socket never observes the
-	// coordinator's exit.
-	defer wg.Wait()
+	// coordinator's exit. The node errors are read only after the wait.
 	defer func() {
 		ln.Close()
 		for _, c := range conns {
@@ -89,22 +94,27 @@ func (e NetEngine) Run(nw *Network, opts Options) (Metrics, error) {
 				c.Close()
 			}
 		}
+		wg.Wait()
+		if failed >= 0 && nodeErrs[failed] != nil {
+			err = fmt.Errorf("%w; %w", err, nodeErrs[failed])
+		} else if err == nil {
+			err = errors.Join(nodeErrs...)
+		}
 	}()
 
 	// Node processes: dial, send id, then serve rounds until shutdown.
-	nodeErrs := make(chan error, n)
-	for id := 0; id < n; id++ {
+	for id := range n {
 		wg.Add(1)
-		go func(id int, node Node) {
+		go func() {
 			defer wg.Done()
-			if err := runNodeProcess(ln.Addr().String(), id, node, e.Codec); err != nil {
-				nodeErrs <- fmt.Errorf("node %d: %w", id, err)
+			if err := runNodeProcess(ln.Addr().String(), id, nw.nodes[id], e.Codec); err != nil {
+				nodeErrs[id] = fmt.Errorf("node %d: %w", id, err)
 			}
-		}(id, nw.nodes[id])
+		}()
 	}
 
 	// Accept and identify all connections.
-	for i := 0; i < n; i++ {
+	for range n {
 		conn, err := ln.Accept()
 		if err != nil {
 			return Metrics{}, fmt.Errorf("congest: accept: %w", err)
@@ -123,189 +133,113 @@ func (e NetEngine) Run(nw *Network, opts Options) (Metrics, error) {
 	}
 
 	var (
-		metrics Metrics
-		inboxes = make([][]Envelope, n)
-		next    = make([][]Envelope, n)
-		done    = make([]bool, n)
-		remain  = n
+		wire int64
+		buf  []byte
+		out  Outbox
+		outs = []*Outbox{&out}
 	)
-	// shutdown tells still-active nodes to exit cleanly. Writes are bounded
-	// by a deadline: if a node is itself wedged in a write, its receive
-	// buffer may be full, and the deferred connection close — not this
-	// courtesy frame — is what unblocks it.
-	shutdown := func() {
-		deadline := time.Now().Add(time.Second)
-		for id, c := range conns {
-			if c != nil && !done[id] {
-				c.SetWriteDeadline(deadline)
-				writeFrame(c, shutdownRound, nil, nil)
-			}
-		}
-	}
-	for round := 0; remain > 0; round++ {
-		if round >= maxRounds {
-			shutdown()
-			return metrics, fmt.Errorf("%w: %d rounds, %d nodes still active",
-				ErrRoundLimit, maxRounds, remain)
-		}
-		metrics.Rounds = round + 1
+	metrics, err = runRounds(nw, opts, func(r *roundState) ([]*Outbox, error) {
+		var err error
 		// Fan out inbox frames; all active nodes compute concurrently.
-		for id := 0; id < n; id++ {
-			if done[id] {
+		for id, c := range conns {
+			if r.done[id] {
 				continue
 			}
-			// deliver appends in ascending sender order, so the inbox is
-			// already sender-sorted like the other engines'.
-			inbox := inboxes[id]
-			inboxes[id] = nil
-			wire, err := e.encodeEnvelopes(inbox)
+			inbox := r.inbox(id)
+			buf = binary.BigEndian.AppendUint32(buf[:0], uint32(r.round))
+			buf, err = appendEntries(buf, e.Codec, len(inbox), func(i int) (NodeID, Message) {
+				return inbox[i].From, inbox[i].Msg
+			})
 			if err != nil {
-				shutdown()
-				return metrics, err
+				return nil, fmt.Errorf("congest: encode: %w", err)
 			}
-			nBytes, err := writeFrame(conns[id], uint32(round), inbox, wire)
-			if err != nil {
-				shutdown()
-				return metrics, fmt.Errorf("congest: send to node %d: %w", id, err)
+			if _, err := c.Write(buf); err != nil {
+				failed = id
+				return nil, fmt.Errorf("congest: send to node %d: %w", id, err)
 			}
-			metrics.WireBytes += int64(nBytes)
+			wire += int64(len(buf))
 		}
-		// Collect outboxes in id order for deterministic delivery.
-		var roundMsgs int64
-		for id := 0; id < n; id++ {
-			if done[id] {
+		// Collect outboxes in id order, so the sends are in sender order.
+		for id, c := range conns {
+			if r.done[id] {
 				continue
 			}
-			out, nodeDone, nBytes, err := e.readOutbox(conns[id])
+			var head [5]byte // u8 done | u32 count
+			out.from = NodeID(id)
+			nBytes, err := readEntries(c, head[:], e.Codec, out.Send)
 			if err != nil {
-				shutdown()
-				return metrics, fmt.Errorf("congest: recv from node %d: %w", id, err)
+				failed = id
+				return nil, fmt.Errorf("congest: recv from node %d: %w", id, err)
 			}
-			metrics.WireBytes += int64(nBytes)
-			if err := deliver(nw, NodeID(id), out, next, done, opts, &metrics, &roundMsgs); err != nil {
-				shutdown()
-				return metrics, err
-			}
-			if nodeDone {
-				done[id] = true
-				remain--
-				conns[id].Close()
+			wire += int64(nBytes)
+			r.stepDone[id] = head[0] == 1
+			if r.stepDone[id] {
+				c.Close() // the node goroutine has returned
 			}
 		}
-		if roundMsgs > metrics.MaxRoundMessages {
-			metrics.MaxRoundMessages = roundMsgs
+		return outs, nil
+	})
+	metrics.WireBytes = wire
+	if err != nil {
+		// Tell still-active nodes to exit cleanly. Writes are bounded by a
+		// deadline: if a node is itself wedged in a write, its receive
+		// buffer may be full, and the deferred connection close — not this
+		// courtesy frame — is what unblocks it.
+		var bye [8]byte
+		binary.BigEndian.PutUint32(bye[:4], shutdownRound)
+		deadline := time.Now().Add(time.Second)
+		for _, c := range conns {
+			c.SetWriteDeadline(deadline)
+			c.Write(bye[:])
 		}
-		inboxes, next = next, inboxes
 	}
-	select {
-	case err := <-nodeErrs:
-		return metrics, err
-	default:
-	}
-	return metrics, nil
+	return metrics, err
 }
 
-// deliver validates and moves one node's outbox into the next-round
-// inboxes. The coordinator calls it for every active node in ascending id
-// order, so each inbox is built sorted by sender.
-func deliver(nw *Network, from NodeID, out *Outbox, next [][]Envelope,
-	done []bool, opts Options, metrics *Metrics, roundMsgs *int64) error {
-	if opts.Validate && len(out.sends) > 1 {
-		seen := make(map[NodeID]bool, len(out.sends))
-		for _, s := range out.sends {
-			if seen[s.From] {
-				return fmt.Errorf("%w: node %d -> %d", ErrDuplicateSend, from, s.From)
-			}
-			seen[s.From] = true
-		}
-	}
-	for _, s := range out.sends {
-		to := s.From // Outbox.Send stores the destination in From
-		if !nw.valid(to) {
-			return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, from, to)
-		}
-		if opts.Validate && !isNeighbor(nw, from, to) {
-			return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, from, to)
-		}
-		b := s.Msg.Bits()
-		if opts.BitBudget > 0 && b > opts.BitBudget {
-			return fmt.Errorf("%w: %d bits > budget %d (node %d -> %d, %T)",
-				ErrMessageTooLarge, b, opts.BitBudget, from, to, s.Msg)
-		}
-		metrics.Messages++
-		*roundMsgs++
-		metrics.TotalBits += int64(b)
-		if b > metrics.MaxMessageBits {
-			metrics.MaxMessageBits = b
-		}
-		if done[to] {
-			continue // receiver already decided; message dropped
-		}
-		next[to] = append(next[to], Envelope{From: from, Msg: s.Msg})
-	}
-	return nil
-}
-
-// encodeEnvelopes pre-encodes an inbox with the codec.
-func (e NetEngine) encodeEnvelopes(inbox []Envelope) ([][]byte, error) {
-	wire := make([][]byte, len(inbox))
-	for i, env := range inbox {
-		data, err := e.Codec.Encode(env.Msg)
+// appendEntries appends the entries of a frame, count | count × (peer |
+// len | bytes), to buf; entry(i) gives the i-th peer and message, which is
+// encoded with codec.
+func appendEntries(buf []byte, codec Codec, count int, entry func(int) (NodeID, Message)) ([]byte, error) {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(count))
+	for i := range count {
+		peer, m := entry(i)
+		data, err := codec.Encode(m)
 		if err != nil {
-			return nil, fmt.Errorf("congest: encode: %w", err)
+			return buf, err
 		}
-		wire[i] = data
+		buf = binary.BigEndian.AppendUint32(buf, uint32(peer))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+		buf = append(buf, data...)
 	}
-	return wire, nil
+	return buf, nil
 }
 
-// writeFrame sends one round frame; envelopes and wire run in parallel.
-func writeFrame(conn net.Conn, round uint32, envs []Envelope, wire [][]byte) (int, error) {
-	size := 8
-	for _, w := range wire {
-		size += 8 + len(w)
+// readEntries reads one frame from r: first its fixed-size head into head,
+// whose last four bytes are the entry count, then the entries, passing
+// each peer and decoded message to add. It returns the bytes read, which
+// are 0 exactly when reading the head failed.
+func readEntries(r io.Reader, head []byte, codec Codec, add func(NodeID, Message)) (int, error) {
+	if _, err := io.ReadFull(r, head); err != nil {
+		return 0, err
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint32(buf, round)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(wire)))
-	for i, w := range wire {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(envs[i].From))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(w)))
-		buf = append(buf, w...)
-	}
-	_, err := conn.Write(buf)
-	return len(buf), err
-}
-
-// readOutbox reads a node's response frame: u8 done | u32 count | entries.
-func (e NetEngine) readOutbox(conn net.Conn) (*Outbox, bool, int, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(conn, head[:]); err != nil {
-		return nil, false, 0, err
-	}
-	total := 5
-	nodeDone := head[0] == 1
-	count := binary.BigEndian.Uint32(head[1:])
-	out := &Outbox{}
-	for i := uint32(0); i < count; i++ {
-		var hdr [8]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return nil, false, total, err
+	total := len(head)
+	var hdr [8]byte // u32 peer | u32 len
+	for count := binary.BigEndian.Uint32(head[len(head)-4:]); count > 0; count-- {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return total, err
 		}
-		to := NodeID(binary.BigEndian.Uint32(hdr[:4]))
-		ln := binary.BigEndian.Uint32(hdr[4:])
-		data := make([]byte, ln)
-		if _, err := io.ReadFull(conn, data); err != nil {
-			return nil, false, total, err
+		data := make([]byte, binary.BigEndian.Uint32(hdr[4:]))
+		if _, err := io.ReadFull(r, data); err != nil {
+			return total, err
 		}
-		total += 8 + int(ln)
-		msg, err := e.Codec.Decode(data)
+		total += len(hdr) + len(data)
+		m, err := codec.Decode(data)
 		if err != nil {
-			return nil, false, total, fmt.Errorf("decode: %w", err)
+			return total, fmt.Errorf("decode: %w", err)
 		}
-		out.Send(to, msg)
+		add(NodeID(binary.BigEndian.Uint32(hdr[:4])), m)
 	}
-	return out, nodeDone, total, nil
+	return total, nil
 }
 
 // runNodeProcess is the per-node goroutine: it owns the Node state machine
@@ -321,54 +255,36 @@ func runNodeProcess(addr string, id int, node Node, codec Codec) error {
 	if _, err := conn.Write(idBuf[:]); err != nil {
 		return err
 	}
+	var (
+		head  [8]byte // u32 round | u32 count
+		inbox []Envelope
+		out   = Outbox{from: NodeID(id)}
+		resp  []byte
+	)
+	addInbox := func(from NodeID, m Message) { inbox = append(inbox, Envelope{From: from, Msg: m}) }
 	for {
-		var head [8]byte
-		if _, err := io.ReadFull(conn, head[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+		inbox = inbox[:0]
+		if nBytes, err := readEntries(conn, head[:], codec, addInbox); err != nil {
+			if nBytes == 0 && (errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed)) {
 				return nil // coordinator shut us down
 			}
-			return err
+			return fmt.Errorf("inbox: %w", err)
 		}
 		round := binary.BigEndian.Uint32(head[:4])
 		if round == shutdownRound {
 			return nil
 		}
-		count := binary.BigEndian.Uint32(head[4:])
-		inbox := make([]Envelope, 0, count)
-		for i := uint32(0); i < count; i++ {
-			var hdr [8]byte
-			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-				return err
-			}
-			from := NodeID(binary.BigEndian.Uint32(hdr[:4]))
-			ln := binary.BigEndian.Uint32(hdr[4:])
-			data := make([]byte, ln)
-			if _, err := io.ReadFull(conn, data); err != nil {
-				return err
-			}
-			msg, err := codec.Decode(data)
-			if err != nil {
-				return fmt.Errorf("decode inbox: %w", err)
-			}
-			inbox = append(inbox, Envelope{From: from, Msg: msg})
-		}
-		var out Outbox
+		out.reset()
 		nodeDone := node.Step(int(round), inbox, &out)
-		resp := make([]byte, 0, 5)
+		resp = append(resp[:0], 0)
 		if nodeDone {
-			resp = append(resp, 1)
-		} else {
-			resp = append(resp, 0)
+			resp[0] = 1
 		}
-		resp = binary.BigEndian.AppendUint32(resp, uint32(len(out.sends)))
-		for _, s := range out.sends {
-			data, err := codec.Encode(s.Msg)
-			if err != nil {
-				return fmt.Errorf("encode outbox: %w", err)
-			}
-			resp = binary.BigEndian.AppendUint32(resp, uint32(s.From)) // destination
-			resp = binary.BigEndian.AppendUint32(resp, uint32(len(data)))
-			resp = append(resp, data...)
+		resp, err = appendEntries(resp, codec, len(out.sends), func(i int) (NodeID, Message) {
+			return out.sends[i].to, out.sends[i].msg
+		})
+		if err != nil {
+			return fmt.Errorf("encode outbox: %w", err)
 		}
 		if _, err := conn.Write(resp); err != nil {
 			return err

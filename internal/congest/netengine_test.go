@@ -10,30 +10,42 @@ import (
 	"time"
 )
 
-// intCodec moves intMsg values as 8-byte frames.
-type intCodec struct{}
+// testCodec moves the test messages as a tag byte and 8 bytes: an intMsg
+// value, or a bigMsg's reported size.
+type testCodec struct{}
 
-func (intCodec) Encode(m Message) ([]byte, error) {
-	v, ok := m.(intMsg)
-	if !ok {
-		return nil, fmt.Errorf("intCodec: unexpected %T", m)
+func (testCodec) Encode(m Message) ([]byte, error) {
+	buf := make([]byte, 9)
+	switch m := m.(type) {
+	case intMsg:
+		binary.BigEndian.PutUint64(buf[1:], uint64(m))
+	case bigMsg:
+		buf[0] = 1
+		binary.BigEndian.PutUint64(buf[1:], uint64(m.bits))
+	default:
+		return nil, fmt.Errorf("testCodec: unexpected %T", m)
 	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(v))
-	return buf[:], nil
+	return buf, nil
 }
 
-func (intCodec) Decode(data []byte) (Message, error) {
-	if len(data) != 8 {
-		return nil, fmt.Errorf("intCodec: bad length %d", len(data))
+func (testCodec) Decode(data []byte) (Message, error) {
+	if len(data) != 9 {
+		return nil, fmt.Errorf("testCodec: bad length %d", len(data))
 	}
-	return intMsg(binary.BigEndian.Uint64(data)), nil
+	v := binary.BigEndian.Uint64(data[1:])
+	switch data[0] {
+	case 0:
+		return intMsg(v), nil
+	case 1:
+		return bigMsg{bits: int(v)}, nil
+	}
+	return nil, fmt.Errorf("testCodec: bad tag %d", data[0])
 }
 
 // flakyCodec fails every Decode after the first failAfter successes,
 // simulating corruption mid-round.
 type flakyCodec struct {
-	intCodec
+	testCodec
 	failAfter int64
 	decodes   atomic.Int64
 }
@@ -44,7 +56,7 @@ func (c *flakyCodec) Decode(data []byte) (Message, error) {
 	if c.decodes.Add(1) > c.failAfter {
 		return nil, errFlaky
 	}
-	return c.intCodec.Decode(data)
+	return c.testCodec.Decode(data)
 }
 
 // waitGoroutinesBack polls until the goroutine count returns to (about) the
@@ -70,7 +82,7 @@ func waitGoroutinesBack(t *testing.T, before int) {
 func TestNetEngineRunsBFS(t *testing.T) {
 	const n = 8
 	nw, nodes := buildPath(n)
-	m, err := NetEngine{Codec: intCodec{}}.Run(nw, Options{Validate: true})
+	m, err := NetEngine{Codec: testCodec{}}.Run(nw, Options{Validate: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -87,16 +99,18 @@ func TestNetEngineRunsBFS(t *testing.T) {
 // TestNetEngineDrainsGoroutinesOnCodecError is the regression test for the
 // listener/node-goroutine leak: a codec error mid-round must close every
 // connection and drain all node goroutines before Run returns to its
-// caller's test, even with nodes parked mid-read.
+// caller's test, even with nodes parked mid-read. The error must be the
+// codec's, whether the coordinator or a node goroutine hit it: a node that
+// fails closes its socket, and the coordinator's EOF alone would hide why.
 func TestNetEngineDrainsGoroutinesOnCodecError(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, failAfter := range []int64{0, 1, 5, 20} {
+	for _, failAfter := range []int64{0, 1, 4, 5, 20} {
 		const n = 10
 		nw, _ := buildPath(n)
 		codec := &flakyCodec{failAfter: failAfter}
 		_, err := NetEngine{Codec: codec}.Run(nw, Options{Validate: true})
-		if err == nil {
-			t.Fatalf("failAfter=%d: expected codec error, got nil", failAfter)
+		if !errors.Is(err, errFlaky) {
+			t.Errorf("failAfter=%d: err = %v, want the codec error", failAfter, err)
 		}
 	}
 	waitGoroutinesBack(t, before)
@@ -108,7 +122,7 @@ func TestNetEngineNoLeakOnSuccess(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		nw, _ := buildPath(6)
-		if _, err := (NetEngine{Codec: intCodec{}}).Run(nw, Options{}); err != nil {
+		if _, err := (NetEngine{Codec: testCodec{}}).Run(nw, Options{}); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	}
@@ -123,7 +137,7 @@ func TestNetEngineRoundLimitDrains(t *testing.T) {
 	a := nw.AddNode(&chattyNode{peer: 1})
 	b := nw.AddNode(&chattyNode{peer: 0})
 	nw.MustConnect(a, b)
-	_, err := NetEngine{Codec: intCodec{}}.Run(nw, Options{MaxRounds: 4})
+	_, err := NetEngine{Codec: testCodec{}}.Run(nw, Options{MaxRounds: 4})
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}

@@ -92,12 +92,14 @@ func makeResidualFixture(t *testing.T, rng *rand.Rand, n int) (*Result, *residua
 
 // TestResidualLockstepCongestParity: the warm-started lockstep runner and
 // the residual CONGEST protocol must agree exactly — covers, duals, levels
-// and iteration counts — across all in-memory engines.
+// and iteration counts — across all engines, the TCP engine's wire codec
+// carrying the warm-start init messages included.
 func TestResidualLockstepCongestParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260730))
 	engines := map[string]congest.Engine{
 		"sequential": congest.SequentialEngine{},
 		"sharded":    congest.ShardedEngine{Shards: 3},
+		"tcp":        congest.NetEngine{Codec: WireCodec{}},
 	}
 	fixtures := 0
 	for i := 0; i < 30; i++ {

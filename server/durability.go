@@ -206,7 +206,7 @@ func (s *Server) recoveryOptions(id string, raw []byte) (api.SolveOptions, []dis
 		mapped.Engine = api.EngineFlat
 		peers = s.cfg.ClusterPeers
 	}
-	libOpts, err := sessionLibOptions(mapped, s.pool.cluster)
+	libOpts, err := libOptions(mapped, s.pool.cluster)
 	if err != nil {
 		s.warn("coverd: recovery: unusable options", "session", id, "err", err)
 		return opts, nil, nil, false

@@ -185,7 +185,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if _, err := sessionLibOptions(req.Options, s.pool.cluster); err != nil {
+	if _, err := libOptions(req.Options, s.pool.cluster); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -208,7 +208,7 @@ func TestSolveSyncAndEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{api.EngineCongest, api.EngineCongestParallel, api.EngineCongestSharded} {
+	for _, engine := range []string{api.EngineCongest, api.EngineCongestParallel, api.EngineCongestSharded, api.EngineCongestTCP} {
 		shards := 0
 		if engine == api.EngineCongestSharded {
 			shards = 3 // exercise an explicit per-request shard count

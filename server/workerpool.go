@@ -121,7 +121,7 @@ func (p *workerPool) run(j *job) {
 // runSessionCreate performs a session's initial solve.
 func (p *workerPool) runSessionCreate(j *job) {
 	j.setRunning()
-	opts, err := sessionLibOptions(j.opts, p.cluster)
+	opts, err := libOptions(j.opts, p.cluster)
 	if err != nil {
 		j.complete(nil, err)
 		return
@@ -237,11 +237,12 @@ func baseLibOptions(o api.SolveOptions) []distcover.Option {
 	return opts
 }
 
-// sessionLibOptions additionally maps the engine choice for sessions, where
-// an explicit engine option switches NewSession from the lockstep simulator
-// to the message protocol on that engine (or partitions it across the
-// server's cluster peers).
-func sessionLibOptions(o api.SolveOptions, cluster clusterSettings) ([]distcover.Option, error) {
+// libOptions additionally maps the engine choice: the flat runner, the
+// cluster partitions (across the server's peers, or in-process), or a
+// CONGEST engine. For sessions an explicit engine option switches
+// NewSession from the lockstep simulator to the message protocol on that
+// engine; for solves it accompanies the library call solve picks.
+func libOptions(o api.SolveOptions, cluster clusterSettings) ([]distcover.Option, error) {
 	opts := baseLibOptions(o)
 	switch o.Engine {
 	case "", api.EngineSim:
@@ -269,10 +270,8 @@ func sessionLibOptions(o api.SolveOptions, cluster clusterSettings) ([]distcover
 // dispatches to the right execution path. extra carries per-job telemetry
 // options (tracer, recorder, logger) from the worker pool.
 func solve(inst *distcover.Instance, ilp *distcover.ILP, o api.SolveOptions, cluster clusterSettings, extra ...distcover.Option) (*api.SolveResult, error) {
-	opts := append(baseLibOptions(o), extra...)
-
 	if ilp != nil {
-		sol, err := distcover.SolveILP(ilp, opts...)
+		sol, err := distcover.SolveILP(ilp, append(baseLibOptions(o), extra...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -290,41 +289,27 @@ func solve(inst *distcover.Instance, ilp *distcover.ILP, o api.SolveOptions, clu
 		}, nil
 	}
 
-	switch o.Engine {
-	case "", api.EngineSim, api.EngineFlat:
-		if o.Engine == api.EngineFlat {
-			opts = append(opts, distcover.WithFlatEngine(), distcover.WithSolverParallelism(o.Parallelism))
-		}
-		sol, err := distcover.Solve(inst, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return coverResult(sol, nil), nil
-	case api.EngineCluster:
-		copts, err := cluster.options(o)
-		if err != nil {
-			return nil, err
-		}
-		sol, err := distcover.ClusterSolve(inst, cluster.peers, append(opts, copts...)...)
-		if err != nil {
-			return nil, err
-		}
-		return coverResult(sol, nil), nil
-	case api.EngineCongest, api.EngineCongestParallel, api.EngineCongestSharded, api.EngineCongestTCP:
-		switch o.Engine {
-		case api.EngineCongestParallel, api.EngineCongestSharded:
-			opts = append(opts, distcover.WithShardedEngine(), distcover.WithShardCount(o.Shards))
-		case api.EngineCongestTCP:
-			opts = append(opts, distcover.WithTCPEngine())
-		}
-		sol, stats, err := distcover.SolveCongest(inst, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return coverResult(sol, stats), nil
-	default:
-		return nil, fmt.Errorf("coverd: unknown engine %q", o.Engine)
+	opts, err := libOptions(o, cluster)
+	if err != nil {
+		return nil, err
 	}
+	opts = append(opts, extra...)
+	var (
+		sol   *distcover.Solution
+		stats *distcover.CongestStats
+	)
+	switch o.Engine {
+	case api.EngineCluster:
+		sol, err = distcover.ClusterSolve(inst, cluster.peers, opts...)
+	case api.EngineCongest, api.EngineCongestParallel, api.EngineCongestSharded, api.EngineCongestTCP:
+		sol, stats, err = distcover.SolveCongest(inst, opts...)
+	default:
+		sol, err = distcover.Solve(inst, opts...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return coverResult(sol, stats), nil
 }
 
 func coverResult(sol *distcover.Solution, stats *distcover.CongestStats) *api.SolveResult {
