@@ -61,7 +61,7 @@ func BenchmarkSolveScale(b *testing.B) {
 		b.Run("n="+itoa(n), func(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.DefaultOptions())
+				res, err := core.Run(g, core.DefaultOptions(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -91,7 +91,7 @@ func BenchmarkCongestProtocol(b *testing.B) {
 		b.Run(engine.name, func(b *testing.B) {
 			var msgs int64
 			for i := 0; i < b.N; i++ {
-				_, metrics, err := core.RunCongest(g, core.DefaultOptions(), engine.eng, congest.Options{})
+				_, metrics, err := core.RunCongest(g, core.DefaultOptions(), nil, engine.eng, congest.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func BenchmarkMillionNodeEngines(b *testing.B) {
 	} {
 		b.Run(engine.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.RunCongest(g, core.DefaultOptions(), engine.eng, congest.Options{}); err != nil {
+				if _, _, err := core.RunCongest(g, core.DefaultOptions(), nil, engine.eng, congest.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -153,7 +153,7 @@ func BenchmarkExactArithmetic(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.Exact = exact
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(g, opts); err != nil {
+				if _, err := core.Run(g, opts, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

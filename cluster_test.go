@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"distcover/internal/cluster"
@@ -137,5 +138,17 @@ func TestClusterSolveErrors(t *testing.T) {
 	ln.Close()
 	if _, err := ClusterSolve(inst, []string{dead}); !errors.Is(err, ErrPeerLost) {
 		t.Fatalf("dead peer: %v", err)
+	}
+	// Solve and NewSession honour WithClusterPeers, and the error carries
+	// one package prefix.
+	if _, err := Solve(inst, WithClusterPeers(dead)); !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("Solve with dead peer: %v", err)
+	}
+	_, err = NewSession(inst, WithClusterPeers(dead))
+	if !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("NewSession with dead peer: %v", err)
+	}
+	if n := strings.Count(err.Error(), "distcover:"); n != 1 {
+		t.Fatalf("NewSession error has %d distcover: prefixes: %v", n, err)
 	}
 }

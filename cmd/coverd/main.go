@@ -8,10 +8,8 @@
 //	       [-peer-listen addr] [-peers a,b,c] [-partition N]
 //	       [-ring a,b,c -ring-self a] [-wal-dir DIR] [-snapshot-interval 1m]
 //	       [-peer-cache-budget BYTES] [-log-level info] [-pprof]
-//	coverd -loadgen [-target URL[,URL...]] [-requests N] [-concurrency C]
-//	       [-pool K] [-gen kind] [-n N] [-m M] [-f F] [-eps ε] [-seed S]
 //
-// The first form serves until interrupted. With -peer-listen the daemon
+// coverd serves until interrupted. With -peer-listen the daemon
 // additionally speaks the cluster peer protocol, making it usable as a
 // worker in a multi-process cover cluster; with -peers it can coordinate
 // solves and sessions across such workers (HTTP requests select this with
@@ -29,14 +27,9 @@
 // over a dead member's sessions by replaying its WAL subdirectory. See
 // distcover/server.Config and PROTOCOL.md for the wire semantics.
 //
-// The second form is a load generator that hammers a
-// coverd server with synthetic workloads from the library's instance
-// generators; with no -target it self-hosts a server in-process first, so
-// `coverd -loadgen` alone demonstrates the full stack. -target accepts a
-// comma-separated coordinator list and spreads load ring-aware across it.
-// The instance pool
-// (-pool) is smaller than -requests, so repeated submissions exercise the
-// result cache.
+// perfbench/ (run with bash perfbench/run.sh) drives real coverd processes
+// with load and checks every answer; examples/service is a minimal
+// in-process server and client round trip.
 package main
 
 import (
@@ -108,43 +101,8 @@ func main() {
 			"minimum structured-log level (debug, info, warn, error)")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof handlers under /debug/pprof/ (off by default)")
-
-		loadgen     = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		target      = flag.String("target", "", "with -loadgen: server URL (empty = self-host in-process)")
-		requests    = flag.Int("requests", 500, "with -loadgen: total requests")
-		concurrency = flag.Int("concurrency", 16, "with -loadgen: concurrent clients")
-		poolSize    = flag.Int("pool", 50, "with -loadgen: distinct instances (duplicates hit the cache)")
-		genKind     = flag.String("gen", "uniform", "with -loadgen: workload (uniform, regular, powerlaw, graph)")
-		genN        = flag.Int("n", 200, "with -loadgen: vertices per instance")
-		genM        = flag.Int("m", 400, "with -loadgen: edges per instance")
-		genF        = flag.Int("f", 3, "with -loadgen: rank")
-		eps         = flag.Float64("eps", 1, "with -loadgen: approximation slack ε")
-		seed        = flag.Int64("seed", 1, "with -loadgen: workload seed")
 	)
 	flag.Parse()
-
-	if *loadgen {
-		cfg := loadgenConfig{
-			target:      *target,
-			requests:    *requests,
-			concurrency: *concurrency,
-			poolSize:    *poolSize,
-			genKind:     *genKind,
-			n:           *genN,
-			m:           *genM,
-			f:           *genF,
-			eps:         *eps,
-			seed:        *seed,
-			workers:     *workers,
-			queueDepth:  *queueN,
-			cacheSize:   *cacheN,
-		}
-		if err := runLoadgen(os.Stdout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "coverd:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {

@@ -42,7 +42,7 @@ func Compare(in *Instance, opts ...Option) ([]CompareResult, error) {
 	if in == nil {
 		return nil, ErrNilInstance
 	}
-	cfg := buildOptions(opts)
+	cfg := optConfig(opts).core
 	g := in.g
 	ratioOf := func(w int64, dual float64) float64 {
 		if dual <= 0 {
@@ -55,7 +55,7 @@ func Compare(in *Instance, opts ...Option) ([]CompareResult, error) {
 	}
 	var out []CompareResult
 
-	res, err := core.Run(g, cfg)
+	res, err := core.Run(g, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("distcover: %w", err)
 	}

@@ -33,10 +33,12 @@
 package distcover
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 
+	"distcover/internal/cluster"
 	"distcover/internal/congest"
 	"distcover/internal/core"
 	"distcover/internal/hypergraph"
@@ -207,40 +209,22 @@ type CongestStats struct {
 // ErrNilInstance is returned when a nil instance is solved.
 var ErrNilInstance = errors.New("distcover: nil instance")
 
-// Solve runs Algorithm MWHVC on the instance with the fast lockstep
-// simulator and returns the cover with its certificate and measured
-// distributed complexity. With WithFlatEngine the lockstep iterations run
-// chunk-parallel over the instance's CSR arrays instead — bit-identical
-// results, wall-clock scaling with cores. With WithClusterPartitions (and
-// no peers) the solve runs the in-process partitioned engine: co-located
-// partitions over a shared-memory exchanger, again bit-identical.
+// Solve runs Algorithm MWHVC on the instance and returns the cover with
+// its certificate and measured distributed complexity. The engine is the
+// first the options select, in this order: cluster peers
+// (WithClusterPeers, as ClusterSolve), in-process partitions
+// (WithClusterPartitions: co-located partitions over a shared-memory
+// exchanger), the chunk-parallel flat runner (WithFlatEngine: wall-clock
+// scaling with cores), and by default the fast lockstep simulator. Results
+// are bit-identical on every engine. Solve ignores the CONGEST engine
+// options; SolveCongest runs the message protocol.
 func Solve(in *Instance, opts ...Option) (*Solution, error) {
 	if in == nil {
 		return nil, ErrNilInstance
 	}
 	cfg := optConfig(opts)
-	if len(cfg.clusterPeers) == 0 && cfg.clusterParts > 0 {
-		res, err := clusterRunLocal(in.g, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		return solutionFromResult(res), nil
-	}
-	engine := "sim"
-	if cfg.flat {
-		engine = "flat"
-	}
-	stop := cfg.startSpan(engine)
-	var (
-		res *core.Result
-		err error
-	)
-	if cfg.flat {
-		res, err = core.RunFlat(in.g, cfg.core, cfg.parallelism)
-	} else {
-		res, err = core.Run(in.g, cfg.core)
-	}
-	stop()
+	cfg.congest = false
+	res, _, err := run(in.g, cfg, nil, 0)
 	if err != nil {
 		return nil, fmt.Errorf("distcover: %w", err)
 	}
@@ -252,25 +236,96 @@ func Solve(in *Instance, opts ...Option) (*Solution, error) {
 // metrics. The default engine steps the nodes sequentially; with
 // WithShardedEngine node shards step on a worker pool, and with
 // WithTCPEngine the messages cross loopback sockets. Results and metrics
-// are identical on every engine.
+// are identical on every engine. SolveCongest ignores WithFlatEngine and
+// the cluster options, which select engines that run no messages.
 func SolveCongest(in *Instance, opts ...Option) (*Solution, *CongestStats, error) {
 	if in == nil {
 		return nil, nil, ErrNilInstance
 	}
-	ecfg := optConfig(opts)
-	stop := ecfg.startSpan(ecfg.congestEngineName())
-	cfg := ecfg.core
-	res, metrics, err := core.RunCongest(in.g, cfg, ecfg.buildEngine(), congest.Options{Validate: true})
-	stop()
+	cfg := optConfig(opts)
+	cfg.congest = true
+	cfg.clusterPeers, cfg.clusterParts = nil, 0
+	res, stats, err := run(in.g, cfg, nil, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("distcover: %w", err)
 	}
-	return solutionFromResult(res), &CongestStats{
-		Rounds:         metrics.Rounds,
-		Messages:       metrics.Messages,
-		TotalBits:      metrics.TotalBits,
-		MaxMessageBits: metrics.MaxMessageBits,
-		WireBytes:      metrics.WireBytes,
+	return solutionFromResult(res), stats, nil
+}
+
+// run executes one solve of g on the first engine cfg selects, in this
+// order: cluster peers, in-process partitions, a CONGEST engine, the flat
+// runner, the lockstep simulator. A non-nil carry warm-starts a session's
+// residual solve from the dual loads its vertices already carry. size is
+// the n+m of the whole instance g belongs to (0 when g is the whole
+// instance); it sizes the CONGEST engines' O(log n) bit budget, because
+// messages carry weights of the whole instance. The CongestStats are nil
+// unless a CONGEST engine ran. Errors are returned unwrapped: each entry
+// point adds its own prefix.
+func run(g *hypergraph.Hypergraph, cfg solveConfig, carry []float64, size int) (*core.Result, *CongestStats, error) {
+	engine := "sim"
+	switch {
+	case len(cfg.clusterPeers) > 0:
+		engine = "cluster"
+	case cfg.clusterParts > 0:
+		engine = "cluster-local"
+	case cfg.congest:
+		engine = cfg.congestEngineName()
+	case cfg.flat:
+		engine = "flat"
+	}
+	clustered := engine == "cluster" || engine == "cluster-local"
+	if clustered && cfg.core.Exact {
+		return nil, nil, fmt.Errorf("cluster: %w: exact arithmetic is not distributable", core.ErrPartitionOptions)
+	}
+	stop := cfg.startSpan(engine)
+	defer stop()
+	if clustered {
+		// Partitions run concurrently, on peers or as goroutines, and share
+		// nothing with a coordinator-side trace: the per-iteration phase
+		// hooks assume a single runner, so they and trace collection stay
+		// off. Invariant checks stay on in-process, where each partition
+		// checks its own range.
+		cfg.core.Tracer = nil
+		cfg.core.CollectTrace = false
+	}
+	switch engine {
+	case "cluster":
+		ccfg := cluster.Config{
+			Peers:      cfg.clusterPeers,
+			Partitions: cfg.clusterParts,
+			Logger:     cfg.logger,
+			Tracer:     cfg.effectiveTracer(),
+		}
+		if cfg.recorder != nil {
+			ccfg.TraceID = cfg.recorder.TraceID()
+		}
+		res, err := cluster.Solve(g, cfg.core, carry, ccfg)
+		return res, nil, err
+	case "cluster-local":
+		res, err := core.RunPartitioned(context.Background(), g, cfg.core, carry, cfg.clusterParts)
+		return res, nil, err
+	case "flat":
+		res, err := core.RunFlat(g, cfg.core, carry, cfg.parallelism)
+		return res, nil, err
+	case "sim":
+		res, err := core.Run(g, cfg.core, carry)
+		return res, nil, err
+	}
+	// What remains is a CONGEST engine running the message protocol.
+	if size == 0 {
+		size = g.NumVertices() + g.NumEdges()
+	}
+	copts := congest.Options{Validate: true, BitBudget: congest.LogBudget(size)}
+	res, m, err := core.RunCongest(g, cfg.core, carry, cfg.buildEngine(), copts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, &CongestStats{
+		Rounds:         m.Rounds,
+		Messages:       m.Messages,
+		TotalBits:      m.TotalBits,
+		MaxMessageBits: m.MaxMessageBits,
+		WireBytes:      m.WireBytes,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package distcover
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -251,5 +252,110 @@ func TestSolveILPErrors(t *testing.T) {
 	bad := NewILP([]int64{0})
 	if _, err := SolveILP(bad); err == nil {
 		t.Error("invalid ILP accepted")
+	}
+}
+
+// TestSolveILPTelemetry: SolveILP honours WithTelemetry like Solve does —
+// the reduced instance solves on the simulator, so the report names that
+// engine and carries one row per iteration plus the init row 0.
+func TestSolveILPTelemetry(t *testing.T) {
+	p := NewILP([]int64{2, 3, 1})
+	if err := p.AddConstraint([]int{0, 1}, []int64{2, 1}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddConstraint([]int{1, 2}, []int64{1, 3}, 3); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewTraceRecorder("")
+	sol, err := SolveILP(p, WithTelemetry(rec))
+	if err != nil {
+		t.Fatalf("SolveILP: %v", err)
+	}
+	rep := rec.Report()
+	if rep.Engine != "sim" {
+		t.Errorf("report engine %q, want sim", rep.Engine)
+	}
+	if len(rep.Iterations) != sol.Iterations+1 {
+		t.Errorf("report has %d iteration rows, want %d", len(rep.Iterations), sol.Iterations+1)
+	}
+}
+
+// TestInstanceHashGolden pins Instance.Hash, the key of the result cache,
+// the coordinator ring, the peer instance cache and the WAL's instance
+// identity: a change to the canonical encoding must show up here.
+func TestInstanceHashGolden(t *testing.T) {
+	const (
+		fixedHash    = "37f74eeba0d375d986bebdd5854909d1e113739a0a53e73bec064ab9939f4471"
+		setCoverHash = "0ba9d63e3ba68aa8a41e3aad439d679bacc1a4922e6688fee6798fcfdbdbf96e"
+		extendedHash = "d159055a468afd949b5c4e63f37a7c3c93c3b840fb525507768980f6f7dc8f60"
+	)
+	weights := []int64{3, 1, 4, 1, 5}
+	edges := [][]int{{0, 1}, {1, 2, 3}, {3, 4}, {0, 4}}
+	delta := Delta{Weights: []int64{2}, Edges: [][]int{{5, 2}, {1, 5}, {0, 2, 5}}}
+	cases := []struct {
+		name string
+		hash func() (string, error)
+		want string
+	}{
+		{"fixed", func() (string, error) {
+			in, err := NewInstance(weights, edges)
+			if err != nil {
+				return "", err
+			}
+			return in.Hash(), nil
+		}, fixedHash},
+		{"reordered, permuted, duplicated vertex", func() (string, error) {
+			in, err := NewInstance(weights, [][]int{{4, 0}, {4, 3, 4}, {3, 1, 2}, {1, 0}})
+			if err != nil {
+				return "", err
+			}
+			return in.Hash(), nil
+		}, fixedHash},
+		{"set cover", func() (string, error) {
+			in, err := NewSetCoverInstance(4, [][]int{{0, 1}, {1, 2, 3}, {0, 3}}, []int64{2, 3, 1})
+			if err != nil {
+				return "", err
+			}
+			return in.Hash(), nil
+		}, setCoverHash},
+		{"read with other whitespace and key order", func() (string, error) {
+			in, err := ReadInstance(strings.NewReader(
+				"{ \"edges\" : [[1,0], [3, 2,1],\n\t[4,3],[4 ,0]],\n \"weights\":[3,1, 4,1,5] }"))
+			if err != nil {
+				return "", err
+			}
+			return in.Hash(), nil
+		}, fixedHash},
+		{"extended from scratch", func() (string, error) {
+			in, err := NewInstance(append(append([]int64(nil), weights...), delta.Weights...),
+				append(append([][]int(nil), edges...), delta.Edges...))
+			if err != nil {
+				return "", err
+			}
+			return in.Hash(), nil
+		}, extendedHash},
+		{"session after one update", func() (string, error) {
+			in, err := NewInstance(weights, edges)
+			if err != nil {
+				return "", err
+			}
+			s, err := NewSession(in)
+			if err != nil {
+				return "", err
+			}
+			if _, err := s.Update(delta); err != nil {
+				return "", err
+			}
+			return s.Hash(), nil
+		}, extendedHash},
+	}
+	for _, tc := range cases {
+		got, err := tc.hash()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: hash %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -114,7 +114,7 @@ func TestEngineEquivalenceOnCoverProtocol(t *testing.T) {
 	opts := core.DefaultOptions()
 	for i := 0; i < 50; i++ {
 		g := randomEquivalenceInstance(t, rng, i)
-		refRes, refMetrics, err := core.RunCongest(g, opts, congest.SequentialEngine{}, congest.Options{Validate: true})
+		refRes, refMetrics, err := core.RunCongest(g, opts, nil, congest.SequentialEngine{}, congest.Options{Validate: true})
 		if err != nil {
 			t.Fatalf("instance %d: sequential: %v", i, err)
 		}
@@ -124,12 +124,12 @@ func TestEngineEquivalenceOnCoverProtocol(t *testing.T) {
 		for v := range carry {
 			carry[v] = rng.Float64() * 0.9 * float64(g.Weight(hypergraph.VertexID(v)))
 		}
-		refResidual, err := core.RunResidual(g, flatOpts, carry)
+		refResidual, err := core.Run(g, flatOpts, carry)
 		if err != nil {
 			t.Fatalf("instance %d: sequential residual: %v", i, err)
 		}
 		for workers := 1; workers <= 8; workers++ {
-			flat, err := core.RunFlat(g, flatOpts, workers)
+			flat, err := core.RunFlat(g, flatOpts, nil, workers)
 			if err != nil {
 				t.Fatalf("instance %d: flat/%d: %v", i, workers, err)
 			}
@@ -138,7 +138,7 @@ func TestEngineEquivalenceOnCoverProtocol(t *testing.T) {
 				flat.Iterations != refRes.Iterations {
 				t.Errorf("instance %d: flat/%d diverges from the protocol engines", i, workers)
 			}
-			warm, err := core.RunResidualFlat(g, flatOpts, carry, workers)
+			warm, err := core.RunFlat(g, flatOpts, carry, workers)
 			if err != nil {
 				t.Fatalf("instance %d: flat residual/%d: %v", i, workers, err)
 			}
@@ -149,7 +149,7 @@ func TestEngineEquivalenceOnCoverProtocol(t *testing.T) {
 			}
 		}
 		for name, eng := range equivalenceEngines() {
-			res, metrics, err := core.RunCongest(g, opts, eng, congest.Options{Validate: true})
+			res, metrics, err := core.RunCongest(g, opts, nil, eng, congest.Options{Validate: true})
 			if err != nil {
 				t.Fatalf("instance %d: %s: %v", i, name, err)
 			}

@@ -93,8 +93,12 @@ func SolveILP(p *ILP, opts ...Option) (*ILPSolution, error) {
 	if p == nil {
 		return nil, ErrNilInstance
 	}
-	cfg := buildOptions(opts)
-	res, err := reduction.SolveILP(&p.inner, cfg, reduction.Options{PruneDominated: true})
+	cfg := optConfig(opts)
+	// The reduced instance solves on the lockstep simulator; the span wires
+	// WithTelemetry and WithTracer into its options, as run does for Solve.
+	stop := cfg.startSpan("sim")
+	res, err := reduction.SolveILP(&p.inner, cfg.core, reduction.Options{PruneDominated: true})
+	stop()
 	if err != nil {
 		return nil, fmt.Errorf("distcover: %w", err)
 	}

@@ -124,7 +124,7 @@ func MeasureEngines(cfg Config) ([]Measurement, []Table, error) {
 				// reading covers engine execution only — construction cost is
 				// engine-independent and would dilute the throughput ratio.
 				buildStart := time.Now()
-				nw, vnodes, enodes, err := core.BuildNetwork(wl.g, opts)
+				nw, vnodes, enodes, err := core.BuildNetwork(wl.g, opts, nil)
 				buildD := time.Since(buildStart)
 				if err != nil {
 					return nil, nil, fmt.Errorf("bench: build %s: %w", wl.name, err)

@@ -46,19 +46,19 @@ func LocalAlpha(cfg Config) ([]Table, error) {
 			return nil, err
 		}
 		optsG := core.DefaultOptions()
-		resG, err := core.Run(g, optsG)
+		resG, err := core.Run(g, optsG, nil)
 		if err != nil {
 			return nil, err
 		}
 		optsL := core.DefaultOptions()
 		optsL.Alpha = core.AlphaLocal
-		resL, err := core.Run(g, optsL)
+		resL, err := core.Run(g, optsL, nil)
 		if err != nil {
 			return nil, err
 		}
 		optsSL := optsL
 		optsSL.Variant = core.VariantSingleLevel
-		resSL, err := core.Run(g, optsSL)
+		resSL, err := core.Run(g, optsSL, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func MeasureFlat(cfg Config) ([]Measurement, []Table, error) {
 		)
 		for r := 0; r < reps; r++ {
 			start := time.Now()
-			res, err := core.RunFlat(wl.g, opts, 0)
+			res, err := core.RunFlat(wl.g, opts, nil, 0)
 			d := time.Since(start)
 			if err != nil {
 				return nil, nil, fmt.Errorf("bench: flat on %s: %w", wl.name, err)
@@ -59,7 +59,7 @@ func MeasureFlat(cfg Config) ([]Measurement, []Table, error) {
 			// covers engine execution only, matching the E11 entry of the
 			// same name — construction is a separate, engine-independent
 			// cost, so the committed ratio compares solver against solver.
-			nw, vnodes, enodes, err := core.BuildNetwork(wl.g, opts)
+			nw, vnodes, enodes, err := core.BuildNetwork(wl.g, opts, nil)
 			if err != nil {
 				return nil, nil, fmt.Errorf("bench: build %s: %w", wl.name, err)
 			}

@@ -109,13 +109,13 @@ func MeasureFabric(cfg bench.Config) ([]bench.Measurement, []bench.Table, error)
 	}
 	defer closePeers()
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, 2)
+	want, err := core.RunFlat(g, opts, nil, 2)
 	if err != nil {
 		return nil, nil, err
 	}
 	tr := &setupCounter{byKind: map[string]int64{}}
 	ccfg := cluster.Config{Peers: peers, Tracer: tr}
-	first, err := cluster.Solve(g, opts, ccfg)
+	first, err := cluster.Solve(g, opts, nil, ccfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: fabric first solve: %w", err)
 	}
@@ -127,7 +127,7 @@ func MeasureFabric(cfg bench.Config) ([]bench.Measurement, []bench.Table, error)
 	if firstInstance == 0 {
 		return nil, nil, fmt.Errorf("bench: first contact shipped no instance frame")
 	}
-	repeat, err := cluster.Solve(g, opts, ccfg)
+	repeat, err := cluster.Solve(g, opts, nil, ccfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: fabric repeat solve: %w", err)
 	}

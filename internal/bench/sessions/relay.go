@@ -89,7 +89,7 @@ func MeasureRelay(cfg bench.Config) ([]bench.Measurement, []bench.Table, error) 
 		return nil, nil, fmt.Errorf("bench: relay workload: %w", err)
 	}
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, 0)
+	want, err := core.RunFlat(g, opts, nil, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,7 +111,7 @@ func MeasureRelay(cfg bench.Config) ([]bench.Measurement, []bench.Table, error) 
 	// Warm the peer instance caches so every reading runs hash-hit setups:
 	// the measured cost is then the connection handshakes and the solve,
 	// not a JSON transfer that only the first reading pays.
-	warm, err := cluster.Solve(g, opts, cluster.Config{Peers: peers, Partitions: 4})
+	warm, err := cluster.Solve(g, opts, nil, cluster.Config{Peers: peers, Partitions: 4})
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: relay warmup: %w", err)
 	}
@@ -134,7 +134,7 @@ func MeasureRelay(cfg bench.Config) ([]bench.Measurement, []bench.Table, error) 
 	for rep := 0; rep < 3; rep++ {
 		for _, parts := range partCounts {
 			start := time.Now()
-			got, err := cluster.Solve(g, opts, cluster.Config{Peers: peers, Partitions: parts})
+			got, err := cluster.Solve(g, opts, nil, cluster.Config{Peers: peers, Partitions: parts})
 			d := time.Since(start)
 			if err != nil {
 				return nil, nil, fmt.Errorf("bench: fan-out %dp: %w", parts, err)

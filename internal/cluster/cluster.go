@@ -95,34 +95,19 @@ func (c Config) timeout() time.Duration {
 	return DefaultTimeout
 }
 
-// Solve runs a cold-start cluster solve of g. See SolveResidual for the
-// warm-started variant; both go through run.
-func Solve(g *hypergraph.Hypergraph, opts core.Options, cfg Config) (*core.Result, error) {
-	return run(g, opts, nil, cfg)
-}
-
-// SolveResidual runs a warm-started cluster solve of a residual instance
-// with carried dual loads (the cluster session update path).
-func SolveResidual(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg Config) (*core.Result, error) {
-	if carry == nil {
-		carry = make([]float64, g.NumVertices())
-	}
-	return run(g, opts, carry, cfg)
-}
-
-// run validates and partitions the solve, then hands it to the concurrent
-// fan-out relay.
-func run(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg Config) (res *core.Result, err error) {
+// Solve runs a cluster solve of g across cfg.Peers, warm-started from the
+// carried dual loads when carry is non-nil (the cluster session update
+// path) and cold otherwise. It validates and partitions the solve, then
+// hands it to the concurrent fan-out relay. The setup frames carry only
+// the solver parameters, so trace collection, invariant checks and the
+// core tracer hook of opts never reach the peers.
+func Solve(g *hypergraph.Hypergraph, opts core.Options, carry []float64, cfg Config) (res *core.Result, err error) {
 	if len(cfg.Peers) == 0 {
 		return nil, ErrNoPeers
 	}
 	if opts.Exact {
 		return nil, fmt.Errorf("%w: exact arithmetic is not distributable", core.ErrPartitionOptions)
 	}
-	// Trace and invariant collection are per-process concerns the protocol
-	// does not carry; a cluster solve runs them off.
-	opts.CollectTrace = false
-	opts.CheckInvariants = false
 
 	parts := cfg.Partitions
 	if parts <= 0 {

@@ -77,12 +77,12 @@ func TestClusterSolveMatchesFlat(t *testing.T) {
 		g := testInstance(t, rng.Int63(), 40+10*i, 120, 2+i%3)
 		opts := core.DefaultOptions()
 		opts.Epsilon = []float64{1, 0.5}[i%2]
-		want, err := core.RunFlat(g, opts, 2)
+		want, err := core.RunFlat(g, opts, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, parts := range []int{0, 2, 4} { // 0 = one per peer
-			got, err := Solve(g, opts, Config{Peers: addrs, Partitions: parts})
+			got, err := Solve(g, opts, nil, Config{Peers: addrs, Partitions: parts})
 			if err != nil {
 				t.Fatalf("instance %d parts %d: %v", i, parts, err)
 			}
@@ -102,11 +102,11 @@ func TestClusterSolveResidualMatchesFlat(t *testing.T) {
 		carry[v] = rng.Float64() * 0.9 * float64(g.Weight(hypergraph.VertexID(v)))
 	}
 	opts := core.DefaultOptions()
-	want, err := core.RunResidualFlat(g, opts, carry, 2)
+	want, err := core.RunFlat(g, opts, carry, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveResidual(g, opts, carry, Config{Peers: addrs})
+	got, err := Solve(g, opts, carry, Config{Peers: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestClusterSolveResidualMatchesFlat(t *testing.T) {
 // TestClusterNoPeers checks the typed empty-configuration error.
 func TestClusterNoPeers(t *testing.T) {
 	g := testInstance(t, 1, 10, 20, 2)
-	if _, err := Solve(g, core.DefaultOptions(), Config{}); !errors.Is(err, ErrNoPeers) {
+	if _, err := Solve(g, core.DefaultOptions(), nil, Config{}); !errors.Is(err, ErrNoPeers) {
 		t.Fatalf("err = %v, want ErrNoPeers", err)
 	}
 }
@@ -131,7 +131,7 @@ func TestClusterPeerUnreachable(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	g := testInstance(t, 2, 10, 20, 2)
-	_, err = Solve(g, core.DefaultOptions(), Config{Peers: []string{addr}, Timeout: 2 * time.Second})
+	_, err = Solve(g, core.DefaultOptions(), nil, Config{Peers: []string{addr}, Timeout: 2 * time.Second})
 	if !errors.Is(err, ErrPeerLost) {
 		t.Fatalf("err = %v, want ErrPeerLost", err)
 	}
@@ -201,7 +201,7 @@ func TestClusterPeerLostMidRound(t *testing.T) {
 	faker, _ := dropAfterBoundary(t)
 	g := testInstance(t, 7, 30, 90, 3)
 	start := time.Now()
-	_, err := Solve(g, core.DefaultOptions(), Config{Peers: []string{real[0], faker}, Timeout: 5 * time.Second})
+	_, err := Solve(g, core.DefaultOptions(), nil, Config{Peers: []string{real[0], faker}, Timeout: 5 * time.Second})
 	if !errors.Is(err, ErrPeerLost) {
 		t.Fatalf("err = %v, want ErrPeerLost", err)
 	}
@@ -217,7 +217,7 @@ func TestClusterPeerFailed(t *testing.T) {
 	g := testInstance(t, 8, 40, 120, 3)
 	opts := core.DefaultOptions()
 	opts.MaxIterations = 1
-	_, err := Solve(g, opts, Config{Peers: addrs})
+	_, err := Solve(g, opts, nil, Config{Peers: addrs})
 	if !errors.Is(err, ErrPeerFailed) {
 		t.Fatalf("err = %v, want ErrPeerFailed", err)
 	}
@@ -242,7 +242,7 @@ func TestClusterTimeout(t *testing.T) {
 	}()
 	g := testInstance(t, 9, 10, 20, 2)
 	start := time.Now()
-	_, err = Solve(g, core.DefaultOptions(), Config{Peers: []string{ln.Addr().String()}, Timeout: 300 * time.Millisecond})
+	_, err = Solve(g, core.DefaultOptions(), nil, Config{Peers: []string{ln.Addr().String()}, Timeout: 300 * time.Millisecond})
 	if !errors.Is(err, ErrPeerLost) {
 		t.Fatalf("err = %v, want ErrPeerLost", err)
 	}
@@ -296,16 +296,16 @@ func TestClusterGoroutineRegression(t *testing.T) {
 			}
 		}()
 		g := testInstance(t, 11, 30, 90, 3)
-		if _, err := Solve(g, core.DefaultOptions(), Config{Peers: addrs}); err != nil {
+		if _, err := Solve(g, core.DefaultOptions(), nil, Config{Peers: addrs}); err != nil {
 			t.Fatal(err)
 		}
 		bad := core.DefaultOptions()
 		bad.MaxIterations = 1
-		if _, err := Solve(g, bad, Config{Peers: addrs}); !errors.Is(err, ErrPeerFailed) {
+		if _, err := Solve(g, bad, nil, Config{Peers: addrs}); !errors.Is(err, ErrPeerFailed) {
 			t.Fatalf("err = %v, want ErrPeerFailed", err)
 		}
 		faker, stopFaker := dropAfterBoundary(t)
-		if _, err := Solve(g, core.DefaultOptions(), Config{Peers: []string{addrs[0], faker}, Timeout: 5 * time.Second}); !errors.Is(err, ErrPeerLost) {
+		if _, err := Solve(g, core.DefaultOptions(), nil, Config{Peers: []string{addrs[0], faker}, Timeout: 5 * time.Second}); !errors.Is(err, ErrPeerLost) {
 			t.Fatalf("err = %v, want ErrPeerLost", err)
 		}
 		stopFaker()

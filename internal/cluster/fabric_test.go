@@ -83,14 +83,14 @@ func TestFabricRepeatSolveShipsHashOnly(t *testing.T) {
 	addrs, peers := startTracedPeers(t, 2, peerTr, 0)
 	g := testInstance(t, 4242, 200, 600, 3)
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, 2)
+	want, err := core.RunFlat(g, opts, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	coordTr := newWireCounter()
 	cfg := Config{Peers: addrs, Tracer: coordTr}
-	first, err := Solve(g, opts, cfg)
+	first, err := Solve(g, opts, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFabricRepeatSolveShipsHashOnly(t *testing.T) {
 		t.Fatalf("first contact: %d hits / %d misses, want 0/2", peerTr.hits, peerTr.misses)
 	}
 
-	second, err := Solve(g, opts, cfg)
+	second, err := Solve(g, opts, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFabricInvalidate(t *testing.T) {
 	g := testInstance(t, 555, 60, 180, 3)
 	opts := core.DefaultOptions()
 	cfg := Config{Peers: addrs, Tracer: newWireCounter()}
-	if _, err := Solve(g, opts, cfg); err != nil {
+	if _, err := Solve(g, opts, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	hash := g.Hash()
@@ -147,7 +147,7 @@ func TestFabricInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := peerTr.misses
-	if _, err := Solve(g, opts, cfg); err != nil {
+	if _, err := Solve(g, opts, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if peerTr.misses != before+2 {
@@ -167,10 +167,10 @@ func TestFabricBudgetEviction(t *testing.T) {
 	addrs, peers := startTracedPeers(t, 1, peerTr, budget)
 	opts := core.DefaultOptions()
 	cfg := Config{Peers: addrs}
-	if _, err := Solve(g1, opts, cfg); err != nil {
+	if _, err := Solve(g1, opts, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(g2, opts, cfg); err != nil {
+	if _, err := Solve(g2, opts, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if entries, bytes := peers[0].InstanceCacheStats(); entries != 1 || bytes > budget {
@@ -178,14 +178,14 @@ func TestFabricBudgetEviction(t *testing.T) {
 	}
 	// g1 was evicted to admit g2: solving g1 again is a miss, g2 a hit.
 	misses := peerTr.misses
-	if _, err := Solve(g1, opts, cfg); err != nil {
+	if _, err := Solve(g1, opts, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if peerTr.misses != misses+1 {
 		t.Fatalf("evicted instance did not re-sync (misses %d, want %d)", peerTr.misses, misses+1)
 	}
 	hits := peerTr.hits
-	if _, err := Solve(g1, opts, cfg); err != nil {
+	if _, err := Solve(g1, opts, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if peerTr.hits != hits+1 {

@@ -61,13 +61,13 @@ func startCountingPeer(t *testing.T, mod func(*Peer)) (string, *countingListener
 func TestClusterMultiplexSharesConnection(t *testing.T) {
 	g := testInstance(t, 21, 60, 180, 3)
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, 2)
+	want, err := core.RunFlat(g, opts, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	addr, cl := startCountingPeer(t, nil)
-	got, err := Solve(g, opts, Config{Peers: []string{addr}, Partitions: 4})
+	got, err := Solve(g, opts, nil, Config{Peers: []string{addr}, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestClusterMixedVersionPeers(t *testing.T) {
 		g := testInstance(t, 23, 60, 180, 3)
 		const timeout = 10 * time.Second
 		start := time.Now()
-		_, err = Solve(g, core.DefaultOptions(), Config{Peers: []string{real, old}, Partitions: 4, Timeout: timeout})
+		_, err = Solve(g, core.DefaultOptions(), nil, Config{Peers: []string{real, old}, Partitions: 4, Timeout: timeout})
 		if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrPeerLost) {
 			t.Fatalf("err = %v, want ErrBadFrame and not ErrPeerLost", err)
 		}
@@ -190,7 +190,7 @@ func TestClusterInvalidateVersions(t *testing.T) {
 
 	solve := func() {
 		t.Helper()
-		if _, err := Solve(g, opts, cfg); err != nil {
+		if _, err := Solve(g, opts, nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestClusterFanOutTracer(t *testing.T) {
 	rec := telemetry.NewRecorder("")
 	g := testInstance(t, 25, 60, 180, 3)
 	opts := core.DefaultOptions()
-	got, err := Solve(g, opts, Config{Peers: addrs, Partitions: 4, Tracer: rec})
+	got, err := Solve(g, opts, nil, Config{Peers: addrs, Partitions: 4, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,16 +256,16 @@ func TestClusterMuxPeerFailure(t *testing.T) {
 	g := testInstance(t, 27, 40, 120, 3)
 	bad := core.DefaultOptions()
 	bad.MaxIterations = 1
-	if _, err := Solve(g, bad, Config{Peers: []string{addr}, Partitions: 3, Timeout: 5 * time.Second}); !errors.Is(err, ErrPeerFailed) {
+	if _, err := Solve(g, bad, nil, Config{Peers: []string{addr}, Partitions: 3, Timeout: 5 * time.Second}); !errors.Is(err, ErrPeerFailed) {
 		t.Fatalf("err = %v, want ErrPeerFailed", err)
 	}
 	// The peer must still serve a healthy solve afterwards.
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, 2)
+	want, err := core.RunFlat(g, opts, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Solve(g, opts, Config{Peers: []string{addr}, Partitions: 3})
+	got, err := Solve(g, opts, nil, Config{Peers: []string{addr}, Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

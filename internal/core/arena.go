@@ -144,7 +144,7 @@ func (s *floatSolver) release() {
 }
 
 // runLockstepFloat is the pooled float64 form of runLockstep: the default
-// production path of Run and RunResidual. Bit-identical to a make-based
+// production path of Run, cold or warm-started. Bit-identical to a make-based
 // run — the arena only changes where the slices live.
 func runLockstepFloat(g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, error) {
 	s := floatSolverPool.Get().(*floatSolver)

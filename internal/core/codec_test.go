@@ -85,11 +85,11 @@ func TestNetEngineMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, seqM, err := RunCongest(g, DefaultOptions(), congest.SequentialEngine{}, congest.Options{Validate: true})
+	seqRes, seqM, err := RunCongest(g, DefaultOptions(), nil, congest.SequentialEngine{}, congest.Options{Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	netRes, netM, err := RunCongest(g, DefaultOptions(), congest.NetEngine{Codec: WireCodec{}}, congest.Options{Validate: true})
+	netRes, netM, err := RunCongest(g, DefaultOptions(), nil, congest.NetEngine{Codec: WireCodec{}}, congest.Options{Validate: true})
 	if err != nil {
 		t.Fatalf("net engine: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestNetEngineMatchesSequential(t *testing.T) {
 
 func TestNetEngineRequiresCodec(t *testing.T) {
 	g := hypergraph.MustNew([]int64{1, 1}, [][]hypergraph.VertexID{{0, 1}})
-	_, _, err := RunCongest(g, DefaultOptions(), congest.NetEngine{}, congest.Options{})
+	_, _, err := RunCongest(g, DefaultOptions(), nil, congest.NetEngine{}, congest.Options{})
 	if err == nil {
 		t.Error("NetEngine without codec succeeded")
 	}

@@ -17,7 +17,9 @@
 // O(logΔ/loglogΔ) for constant f and ε, matching the lower bound of Kuhn,
 // Moscibroda and Wattenhofer.
 //
-// Three execution paths share one semantics:
+// Three execution paths share one semantics. Each takes a carry: the
+// per-vertex dual loads a session's residual solve warm-starts from, nil
+// for a cold start (residual.go).
 //
 //   - Run executes the generic lockstep runner directly over the
 //     hypergraph: float64 by default, exact big.Rat arithmetic on request;
@@ -30,6 +32,10 @@
 //   - RunCongest builds the bipartite vertex/edge CONGEST network of
 //     Section 2 and executes the message protocol of Appendix B with
 //     O(log n)-bit messages on a congest.Engine.
+//
+// Every path ends in finish, the one place that derives the cover, its
+// weight, the dual value and the RatioBound certificate from the run's
+// indicator vector and duals.
 //
 // Tests verify that all paths produce identical covers, duals and
 // iteration counts, that the invariants of Claims 1, 2 and 4 hold, and that
@@ -315,13 +321,57 @@ func defaultIterationCap(f int, eps float64, delta int, alpha float64) int {
 
 // Run executes Algorithm MWHVC on g with the lockstep runner and returns
 // the cover, duals and measured complexity. The input hypergraph must be
-// valid (use hypergraph.Validate for untrusted inputs).
-func Run(g *hypergraph.Hypergraph, opts Options) (*Result, error) {
+// valid (use hypergraph.Validate for untrusted inputs). A non-nil carry
+// warm-starts a residual solve (residual.go); nil is a cold start.
+func Run(g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, error) {
 	if err := opts.validate(g); err != nil {
 		return nil, err
 	}
-	if opts.Exact {
-		return runLockstep(newRatNumeric(), g, opts, nil)
+	if err := validateCarry(g, carry); err != nil {
+		return nil, err
 	}
-	return runLockstepFloat(g, opts, nil)
+	if opts.Exact {
+		return runLockstep(newRatNumeric(), g, opts, carry)
+	}
+	return runLockstepFloat(g, opts, carry)
+}
+
+// RatioBound is the run certificate's realized ratio weight/dual: 1 for an
+// empty cover without dual, +Inf for a non-empty cover without dual.
+func RatioBound(weight int64, dual float64) float64 {
+	switch {
+	case dual > 0:
+		return float64(weight) / dual
+	case weight == 0:
+		return 1
+	default:
+		return math.Inf(1)
+	}
+}
+
+// finish fills the Result fields every engine derives the same way from
+// InCover and Dual: Cover (ascending), CoverWeight, DualValue (summed in
+// ascending edge id, the order every engine accumulates in) and RatioBound.
+func finish(g *hypergraph.Hypergraph, res *Result) {
+	// Pre-count the cover so Cover is sized in one allocation; the
+	// ascending vertex scan appends it already sorted.
+	size := 0
+	for _, in := range res.InCover {
+		if in {
+			size++
+		}
+	}
+	if size > 0 {
+		res.Cover = make([]hypergraph.VertexID, 0, size)
+	}
+	for v, in := range res.InCover {
+		if in {
+			res.Cover = append(res.Cover, hypergraph.VertexID(v))
+			res.CoverWeight += g.Weight(hypergraph.VertexID(v))
+		}
+	}
+	for _, d := range res.Dual {
+		res.DualValue += d
+	}
+	res.RatioBound = RatioBound(res.CoverWeight, res.DualValue)
 }

@@ -11,7 +11,7 @@ import (
 
 func defaultRun(t *testing.T, g *hypergraph.Hypergraph) *Result {
 	t.Helper()
-	res, err := Run(g, DefaultOptions())
+	res, err := Run(g, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestRandomHypergraphsAllVariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Run(g, tt.opts)
+				res, err := Run(g, tt.opts, nil)
 				if err != nil {
 					t.Fatalf("Run(f=%d): %v", f, err)
 				}
@@ -154,7 +154,7 @@ func TestSingleLevelVariantIncrementsAtMostOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, opts)
+	res, err := Run(g, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestExactModeStrictInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(g, opts)
+		res, err := Run(g, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,11 +204,11 @@ func TestExactAndFloatAgree(t *testing.T) {
 		optsF.FixedAlpha = 4
 		optsE := optsF
 		optsE.Exact = true
-		rf, err := Run(g, optsF)
+		rf, err := Run(g, optsF, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := Run(g, optsE)
+		re, err := Run(g, optsE, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestFApproxRatioAgainstExactOPT(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.FApprox = true
-		res, err := Run(g, opts)
+		res, err := Run(g, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(g, tt.opts); !errors.Is(err, ErrBadOptions) {
+			if _, err := Run(g, tt.opts, nil); !errors.Is(err, ErrBadOptions) {
 				t.Errorf("Run = %v, want ErrBadOptions", err)
 			}
 		})
@@ -282,7 +282,7 @@ func TestIterationLimit(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxIterations = 1
-	if _, err := Run(g, opts); !errors.Is(err, ErrIterationLimit) {
+	if _, err := Run(g, opts, nil); !errors.Is(err, ErrIterationLimit) {
 		t.Errorf("Run = %v, want ErrIterationLimit", err)
 	}
 }
@@ -375,11 +375,11 @@ func TestWeightIndependenceOfIterations(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Exact = true
-	re1, err := Run(small, opts)
+	re1, err := Run(small, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re2, err := Run(scale(small, 999_983), opts) // large prime scale
+	re2, err := Run(scale(small, 999_983), opts, nil) // large prime scale
 	if err != nil {
 		t.Fatal(err)
 	}

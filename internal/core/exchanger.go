@@ -178,7 +178,7 @@ func (g *MemExchangerGroup) failLocked(err error) {
 // vertex-range partitions inside this process, one goroutine per partition
 // over a shared-memory exchanger group — no sockets, no frame codec. A nil
 // carry is a cold solve; a non-nil carry warm-starts the residual path
-// exactly like RunResidualFlat. The merged Result is bit-identical to
+// exactly like RunFlat. The merged Result is bit-identical to
 // RunFlat on the undivided instance for every partition count.
 //
 // Cancelling ctx poisons the exchanger group: every partition unblocks and

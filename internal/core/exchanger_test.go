@@ -26,7 +26,7 @@ func TestRunPartitionedMatchesFlat(t *testing.T) {
 		g := randomPartitionInstance(t, rng, i)
 		opts := DefaultOptions()
 		opts.Epsilon = epss[i%len(epss)]
-		want, err := RunFlat(g, opts, 2)
+		want, err := RunFlat(g, opts, nil, 2)
 		if err != nil {
 			t.Fatalf("instance %d: flat: %v", i, err)
 		}
@@ -47,7 +47,7 @@ func TestRunPartitionedMatchesFlat(t *testing.T) {
 		for v := range carry {
 			carry[v] = rng.Float64() * 0.95 * float64(g.Weight(hypergraph.VertexID(v)))
 		}
-		wantWarm, err := RunResidualFlat(g, opts, carry, 2)
+		wantWarm, err := RunFlat(g, opts, carry, 2)
 		if err != nil {
 			t.Fatalf("instance %d: residual flat: %v", i, err)
 		}

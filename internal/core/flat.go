@@ -15,7 +15,7 @@ import (
 // This file implements the frontier runner, the one float64 implementation
 // of the iteration phases besides the generic lockstep runner (runner.go).
 // It runs over an owned vertex range [lo, hi): the whole instance for the
-// flat engine (RunFlat, RunResidualFlat), one contiguous partition for
+// flat engine (RunFlat), one contiguous partition for
 // RunPartition and RunPartitioned (partition.go), which add an Exchanger
 // called between the vertex phase and the fused edge+gather phase
 // (boundary states) and after it (coverage counts).
@@ -72,22 +72,9 @@ import (
 // results are identical by construction.
 
 // RunFlat executes Algorithm MWHVC on g with the chunk-parallel flat
-// runner. workers ≤ 0 uses GOMAXPROCS. Results are bit-identical to Run for
-// every worker count.
-func RunFlat(g *hypergraph.Hypergraph, opts Options, workers int) (*Result, error) {
-	if err := opts.validate(g); err != nil {
-		return nil, err
-	}
-	if opts.Exact {
-		return runLockstep(newRatNumeric(), g, opts, nil)
-	}
-	return runLockstepFlat(g, opts, nil, workers)
-}
-
-// RunResidualFlat is RunResidual on the flat runner: a warm-started
-// chunk-parallel solve of a residual instance with carried vertex loads.
-// Bit-identical to RunResidual for every worker count.
-func RunResidualFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, workers int) (*Result, error) {
+// runner, warm-started from carry when it is non-nil (see Run). workers ≤ 0
+// uses GOMAXPROCS. Results are bit-identical to Run for every worker count.
+func RunFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, workers int) (*Result, error) {
 	if err := opts.validate(g); err != nil {
 		return nil, err
 	}

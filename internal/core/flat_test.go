@@ -101,12 +101,12 @@ func TestFlatBitIdenticalToLockstep(t *testing.T) {
 		opts := v.opts()
 		opts.CollectTrace = true
 		opts.CheckInvariants = true
-		want, err := Run(g, opts)
+		want, err := Run(g, opts, nil)
 		if err != nil {
 			t.Fatalf("instance %d (%s): sequential: %v", i, v.name, err)
 		}
 		for workers := 1; workers <= 8; workers++ {
-			got, err := RunFlat(g, opts, workers)
+			got, err := RunFlat(g, opts, nil, workers)
 			if err != nil {
 				t.Fatalf("instance %d (%s): flat/%d: %v", i, v.name, workers, err)
 			}
@@ -129,12 +129,12 @@ func TestFlatResidualBitIdentical(t *testing.T) {
 		opts := DefaultOptions()
 		opts.CollectTrace = true
 		opts.CheckInvariants = true
-		want, err := RunResidual(g, opts, carry)
+		want, err := Run(g, opts, carry)
 		if err != nil {
 			t.Fatalf("instance %d: sequential residual: %v", i, err)
 		}
 		for workers := 1; workers <= 8; workers++ {
-			got, err := RunResidualFlat(g, opts, carry, workers)
+			got, err := RunFlat(g, opts, carry, workers)
 			if err != nil {
 				t.Fatalf("instance %d: flat residual/%d: %v", i, workers, err)
 			}
@@ -156,7 +156,7 @@ func TestFlatCoveredEdgesNeverRevisited(t *testing.T) {
 		opts.CollectTrace = true
 		var live []int
 		flatEdgeVisits = func(liveEdges int) { live = append(live, liveEdges) }
-		res, err := RunFlat(g, opts, 1+i%4)
+		res, err := RunFlat(g, opts, nil, 1+i%4)
 		flatEdgeVisits = nil
 		if err != nil {
 			t.Fatal(err)
@@ -184,11 +184,11 @@ func TestFlatExactFallsBackSequential(t *testing.T) {
 	)
 	opts := DefaultOptions()
 	opts.Exact = true
-	want, err := Run(g, opts)
+	want, err := Run(g, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunFlat(g, opts, 4)
+	got, err := RunFlat(g, opts, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,22 +199,22 @@ func TestFlatExactFallsBackSequential(t *testing.T) {
 // and isolated vertices.
 func TestFlatEmptyAndIsolated(t *testing.T) {
 	g := hypergraph.MustNew([]int64{5, 1, 2}, [][]hypergraph.VertexID{{0, 1}})
-	want, err := Run(g, DefaultOptions())
+	want, err := Run(g, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunFlat(g, DefaultOptions(), 8)
+	got, err := RunFlat(g, DefaultOptions(), nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireFlatSameResult(t, "isolated", got, want)
 
 	empty := hypergraph.MustNew([]int64{4, 2}, nil)
-	want, err = Run(empty, DefaultOptions())
+	want, err = Run(empty, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = RunFlat(empty, DefaultOptions(), 2)
+	got, err = RunFlat(empty, DefaultOptions(), nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

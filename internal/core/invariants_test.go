@@ -56,7 +56,7 @@ func TestInvariantsHoldAcrossConfigurations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := Run(g, tt.opts); err != nil {
+				if _, err := Run(g, tt.opts, nil); err != nil {
 					t.Errorf("seed %d: %v", seed, err)
 				}
 			}
@@ -85,7 +85,7 @@ func TestInvariantsHoldOnAdversarialShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Run(g, opts); err != nil {
+			if _, err := Run(g, opts, nil); err != nil {
 				t.Error(err)
 			}
 		})
@@ -107,7 +107,7 @@ func TestInvariantsPropertyFloat(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = Run(g, opts)
+		_, err = Run(g, opts, nil)
 		return err == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"distcover/internal/congest"
@@ -406,15 +405,18 @@ func (e *edgeNode) initPhase(inbox []congest.Envelope, out *congest.Outbox) bool
 // BuildNetwork constructs the bipartite CONGEST network for g: vertex nodes
 // 0..n-1, edge nodes n..n+m-1, one link per incidence. It returns the
 // network plus the node handles used to extract the result after a run.
-func BuildNetwork(g *hypergraph.Hypergraph, opts Options) (*congest.Network, []*vertexNode, []*edgeNode, error) {
-	return buildNetwork(g, opts, nil)
-}
-
-// buildNetwork is BuildNetwork plus the optional warm start: with a non-nil
-// carry, vertex node v is seeded with Σδ = carry[v] and the level that load
-// implies, and the protocol runs the residual init handshake (residual.go).
-func buildNetwork(g *hypergraph.Hypergraph, opts Options, carry []float64) (*congest.Network, []*vertexNode, []*edgeNode, error) {
+//
+// With a non-nil carry (a session's residual instance, residual.go), vertex
+// node v is seeded with Σδ = carry[v] and the level that load implies, and
+// the protocol switches to the residual init messages, which carry that
+// level so edges can size their first bid to the remaining slack. The
+// network then contains only the dirty part of a session, so under the
+// sharded engine only the shards that received new work step at all.
+func BuildNetwork(g *hypergraph.Hypergraph, opts Options, carry []float64) (*congest.Network, []*vertexNode, []*edgeNode, error) {
 	if err := opts.validate(g); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := validateCarry(g, carry); err != nil {
 		return nil, nil, nil, err
 	}
 	if opts.Exact {
@@ -504,11 +506,14 @@ func buildNetwork(g *hypergraph.Hypergraph, opts Options, carry []float64) (*con
 	return nw, vnodes, enodes, nil
 }
 
-// RunCongest executes the protocol on the given engine and returns the
-// algorithm result together with the engine's CONGEST metrics. A zero
-// congestOpts gets the standard O(log(n+m)) bit budget and validation.
-func RunCongest(g *hypergraph.Hypergraph, opts Options, eng congest.Engine, congestOpts congest.Options) (*Result, congest.Metrics, error) {
-	nw, vnodes, enodes, err := BuildNetwork(g, opts)
+// RunCongest executes the protocol on the given engine, warm-started from
+// carry when it is non-nil (see BuildNetwork), and returns the algorithm
+// result together with the engine's CONGEST metrics. Results are identical
+// to Run: both paths compute iteration 0 with the same float operations in
+// the same order. A zero congestOpts gets the standard O(log(n+m)) bit
+// budget and validation.
+func RunCongest(g *hypergraph.Hypergraph, opts Options, carry []float64, eng congest.Engine, congestOpts congest.Options) (*Result, congest.Metrics, error) {
+	nw, vnodes, enodes, err := BuildNetwork(g, opts, carry)
 	if err != nil {
 		return nil, congest.Metrics{}, err
 	}
@@ -563,28 +568,17 @@ func RunBuiltNetwork(g *hypergraph.Hypergraph, opts Options, nw *congest.Network
 		}
 	}
 	for v, vn := range vnodes {
-		if vn.inCover {
-			res.InCover[v] = true
-			res.Cover = append(res.Cover, hypergraph.VertexID(v))
-			res.CoverWeight += g.Weight(hypergraph.VertexID(v))
-		}
+		res.InCover[v] = vn.inCover
 		if vn.level > res.MaxLevel {
 			res.MaxLevel = vn.level
 		}
 	}
 	for e, en := range enodes {
 		res.Dual[e] = en.delta
-		res.DualValue += en.delta
 		if en.iters > res.Iterations {
 			res.Iterations = en.iters
 		}
 	}
-	if res.DualValue > 0 {
-		res.RatioBound = float64(res.CoverWeight) / res.DualValue
-	} else if res.CoverWeight == 0 {
-		res.RatioBound = 1
-	} else {
-		res.RatioBound = math.Inf(1)
-	}
+	finish(g, res)
 	return res, metrics, nil
 }

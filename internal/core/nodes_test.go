@@ -13,11 +13,11 @@ import (
 
 func runBoth(t *testing.T, g *hypergraph.Hypergraph, opts Options) (*Result, *Result, congest.Metrics) {
 	t.Helper()
-	lockstep, err := Run(g, opts)
+	lockstep, err := Run(g, opts, nil)
 	if err != nil {
 		t.Fatalf("lockstep Run: %v", err)
 	}
-	cong, metrics, err := RunCongest(g, opts, congest.SequentialEngine{}, congest.Options{Validate: true})
+	cong, metrics, err := RunCongest(g, opts, nil, congest.SequentialEngine{}, congest.Options{Validate: true})
 	if err != nil {
 		t.Fatalf("RunCongest: %v", err)
 	}
@@ -95,11 +95,11 @@ func TestCongestMatchesLockstepProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lockstep, err := Run(g, DefaultOptions())
+		lockstep, err := Run(g, DefaultOptions(), nil)
 		if err != nil {
 			return false
 		}
-		cong, _, err := RunCongest(g, DefaultOptions(), congest.SequentialEngine{}, congest.Options{Validate: true})
+		cong, _, err := RunCongest(g, DefaultOptions(), nil, congest.SequentialEngine{}, congest.Options{Validate: true})
 		if err != nil {
 			return false
 		}
@@ -127,11 +127,11 @@ func TestCongestShardedEngineAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, seqM, err := RunCongest(g, DefaultOptions(), congest.SequentialEngine{}, congest.Options{Validate: true})
+	seqRes, seqM, err := RunCongest(g, DefaultOptions(), nil, congest.SequentialEngine{}, congest.Options{Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shRes, shM, err := RunCongest(g, DefaultOptions(), congest.ShardedEngine{Shards: 3}, congest.Options{Validate: true})
+	shRes, shM, err := RunCongest(g, DefaultOptions(), nil, congest.ShardedEngine{Shards: 3}, congest.Options{Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCongestMessageSizesWithinLogBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := congest.LogBudget(g.NumVertices() + g.NumEdges())
-	_, metrics, err := RunCongest(g, DefaultOptions(), congest.SequentialEngine{},
+	_, metrics, err := RunCongest(g, DefaultOptions(), nil, congest.SequentialEngine{},
 		congest.Options{Validate: true, BitBudget: budget})
 	if err != nil {
 		t.Fatalf("run with enforced budget: %v", err)
@@ -188,7 +188,7 @@ func TestCongestResultIsValidCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunCongest(g, DefaultOptions(), congest.SequentialEngine{}, congest.Options{})
+	res, _, err := RunCongest(g, DefaultOptions(), nil, congest.SequentialEngine{}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCongestRejectsExactMode(t *testing.T) {
 	g := hypergraph.MustNew([]int64{1, 1}, [][]hypergraph.VertexID{{0, 1}})
 	opts := DefaultOptions()
 	opts.Exact = true
-	_, _, err := RunCongest(g, opts, congest.SequentialEngine{}, congest.Options{})
+	_, _, err := RunCongest(g, opts, nil, congest.SequentialEngine{}, congest.Options{})
 	if !errors.Is(err, ErrExactCongest) {
 		t.Errorf("err = %v, want ErrExactCongest", err)
 	}
@@ -219,7 +219,7 @@ func TestCongestRejectsExactMode(t *testing.T) {
 
 func TestCongestRejectsBadOptions(t *testing.T) {
 	g := hypergraph.MustNew([]int64{1, 1}, [][]hypergraph.VertexID{{0, 1}})
-	_, _, err := RunCongest(g, Options{}, congest.SequentialEngine{}, congest.Options{})
+	_, _, err := RunCongest(g, Options{}, nil, congest.SequentialEngine{}, congest.Options{})
 	if !errors.Is(err, ErrBadOptions) {
 		t.Errorf("err = %v, want ErrBadOptions", err)
 	}
@@ -229,7 +229,7 @@ func TestCongestEdgelessAndIsolated(t *testing.T) {
 	// Isolated vertices terminate immediately; instance with no edges
 	// finishes in one round.
 	g := hypergraph.MustNew([]int64{1, 2, 3}, nil)
-	res, metrics, err := RunCongest(g, DefaultOptions(), congest.SequentialEngine{}, congest.Options{})
+	res, metrics, err := RunCongest(g, DefaultOptions(), nil, congest.SequentialEngine{}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

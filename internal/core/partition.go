@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"distcover/internal/hypergraph"
@@ -157,10 +155,8 @@ func RunPartition(g *hypergraph.Hypergraph, opts Options, carry []float64, bound
 	if err := validateBounds(g, bounds, part); err != nil {
 		return nil, err
 	}
-	if carry != nil {
-		if err := validateCarry(g, carry); err != nil {
-			return nil, err
-		}
+	if err := validateCarry(g, carry); err != nil {
+		return nil, err
 	}
 	lo, hi := bounds[part], bounds[part+1]
 	local := 0
@@ -354,10 +350,10 @@ func (r *flatRun) partial(res *Result) *PartialResult {
 }
 
 // AssembleParts merges the partitions' shares into a Result equal, bit for
-// bit, to RunFlat on the undivided instance: covers concatenate in
-// partition (= vertex) order, every edge's dual is reported by exactly one
-// owner, and the dual value accumulates in ascending edge id — the order
-// state.fill sums in.
+// bit, to RunFlat on the undivided instance: every edge's dual is reported
+// by exactly one owner, and finish derives the cover and the dual value
+// from the merged vectors exactly as it does for every other engine. The
+// partitions' reported cover weights must add up to the finished weight.
 func AssembleParts(g *hypergraph.Hypergraph, opts Options, parts []*PartialResult) (*Result, error) {
 	if err := opts.validate(g); err != nil {
 		return nil, err
@@ -380,6 +376,7 @@ func AssembleParts(g *hypergraph.Hypergraph, opts Options, parts []*PartialResul
 		Epsilon:    first.Epsilon,
 	}
 	seen := make([]bool, g.NumEdges())
+	var reported int64
 	for i, p := range parts {
 		if p.Part != i {
 			return nil, fmt.Errorf("%w: partial %d reports partition %d", ErrPartitionOptions, i, p.Part)
@@ -391,13 +388,12 @@ func AssembleParts(g *hypergraph.Hypergraph, opts Options, parts []*PartialResul
 			return nil, fmt.Errorf("%w: partition %d dual arrays disagree", ErrPartitionOptions, i)
 		}
 		for _, v := range p.Cover {
-			if int(v) >= g.NumVertices() {
+			if v < 0 || int(v) >= g.NumVertices() {
 				return nil, fmt.Errorf("%w: cover vertex %d out of range", ErrPartitionOptions, v)
 			}
 			res.InCover[v] = true
-			res.Cover = append(res.Cover, v)
 		}
-		res.CoverWeight += p.CoverWeight
+		reported += p.CoverWeight
 		if p.MaxLevel > res.MaxLevel {
 			res.MaxLevel = p.MaxLevel
 		}
@@ -416,21 +412,12 @@ func AssembleParts(g *hypergraph.Hypergraph, opts Options, parts []*PartialResul
 		if !ok {
 			return nil, fmt.Errorf("%w: edge %d reported by no partition", ErrPartitionOptions, e)
 		}
-		res.DualValue += res.Dual[e]
 	}
-	sort.Slice(res.Cover, func(i, j int) bool { return res.Cover[i] < res.Cover[j] })
-	switch {
-	case res.DualValue > 0:
-		res.RatioBound = float64(res.CoverWeight) / res.DualValue
-	case res.CoverWeight == 0:
-		res.RatioBound = 1
-	default:
-		res.RatioBound = math.Inf(1)
+	finish(g, res)
+	if reported != res.CoverWeight {
+		return nil, fmt.Errorf("%w: partitions report cover weight %d, cover weighs %d",
+			ErrPartitionOptions, reported, res.CoverWeight)
 	}
-	if g.NumEdges() == 0 {
-		res.Rounds = 1
-	} else {
-		res.Rounds = 2 + 2*res.Iterations
-	}
+	res.Rounds = lockstepRounds(g.NumEdges(), res.Iterations)
 	return res, nil
 }

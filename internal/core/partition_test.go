@@ -210,7 +210,7 @@ func TestPartitionRunnerMatchesFlat(t *testing.T) {
 		if i%5 == 4 {
 			opts.Alpha = AlphaLocal
 		}
-		want, err := RunFlat(g, opts, 2)
+		want, err := RunFlat(g, opts, nil, 2)
 		if err != nil {
 			t.Fatalf("instance %d: flat: %v", i, err)
 		}
@@ -237,7 +237,7 @@ func TestPartitionRunnerMatchesResidualFlat(t *testing.T) {
 			carry[v] = rng.Float64() * 0.97 * float64(g.Weight(hypergraph.VertexID(v)))
 		}
 		opts := DefaultOptions()
-		want, err := RunResidualFlat(g, opts, carry, 3)
+		want, err := RunFlat(g, opts, carry, 3)
 		if err != nil {
 			t.Fatalf("instance %d: residual flat: %v", i, err)
 		}
@@ -279,6 +279,69 @@ func TestPartitionRunnerRejects(t *testing.T) {
 	}
 }
 
+// TestAssemblePartsRejectsBadShares: the coordinator merges shares that
+// peers send over the wire, so a negative cover vertex, a vertex two shares
+// both claim, or cover weights that do not add up to the merged cover's
+// weight are typed errors — never a panic or a silently deduplicated cover.
+func TestAssemblePartsRejectsBadShares(t *testing.T) {
+	g, err := hypergraph.UniformRandom(40, 80, 3, hypergraph.GenConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	bounds := PlanPartitions(g, 2)
+	grp := NewMemExchangerGroup(2)
+	partials := make([]*PartialResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			partials[p], errs[p] = RunPartition(g, opts, nil, bounds, p, grp.Exchanger(p))
+			if errs[p] != nil {
+				grp.Fail(errs[p])
+			}
+		}(p)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("partition %d: %v", p, err)
+		}
+	}
+	if _, err := AssembleParts(g, opts, partials); err != nil {
+		t.Fatal(err)
+	}
+	if len(partials[0].Cover) == 0 {
+		t.Fatal("fixture: partition 0 has an empty cover")
+	}
+	v0 := partials[0].Cover[0]
+	tests := []struct {
+		name string
+		edit func(p []*PartialResult)
+	}{
+		{"negative cover vertex", func(p []*PartialResult) { p[0].Cover = append(p[0].Cover, -1) }},
+		{"vertex claimed twice", func(p []*PartialResult) {
+			p[1].Cover = append(p[1].Cover, v0)
+			p[1].CoverWeight += g.Weight(v0)
+		}},
+		{"misreported cover weight", func(p []*PartialResult) { p[0].CoverWeight++ }},
+	}
+	for _, tt := range tests {
+		shares := make([]*PartialResult, len(partials))
+		for i, p := range partials {
+			cp := *p
+			cp.Cover = append([]hypergraph.VertexID(nil), p.Cover...)
+			shares[i] = &cp
+		}
+		tt.edit(shares)
+		if _, err := AssembleParts(g, opts, shares); !errors.Is(err, ErrPartitionOptions) {
+			t.Errorf("%s: err = %v, want ErrPartitionOptions", tt.name, err)
+		}
+	}
+}
+
 // tamperExchanger hands its partition the frames of a real exchange after
 // passing a copy of the frame list through edit.
 type tamperExchanger struct {
@@ -309,7 +372,7 @@ func TestPartitionRejectsForeignBoundaryStates(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	bounds := PlanPartitions(g, 2)
-	want, err := RunFlat(g, opts, 1)
+	want, err := RunFlat(g, opts, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"distcover/internal/congest"
 	"distcover/internal/hypergraph"
 )
 
@@ -32,8 +31,12 @@ import (
 // ErrBadCarry is returned when the carried loads are out of range.
 var ErrBadCarry = errors.New("core: invalid carry load")
 
-// validateCarry checks the warm-start loads against the residual instance.
+// validateCarry checks the warm-start loads against the residual instance;
+// a nil carry is a cold start and always valid.
 func validateCarry(g *hypergraph.Hypergraph, carry []float64) error {
+	if carry == nil {
+		return nil
+	}
 	if len(carry) != g.NumVertices() {
 		return fmt.Errorf("%w: %d loads for %d vertices", ErrBadCarry, len(carry), g.NumVertices())
 	}
@@ -44,55 +47,4 @@ func validateCarry(g *hypergraph.Hypergraph, carry []float64) error {
 		}
 	}
 	return nil
-}
-
-// RunResidual executes a warm-started lockstep run on the residual instance
-// g, where carry[v] is the dual load vertex v already accumulated in earlier
-// solves (0 ≤ carry[v] < w(v)). The returned Result covers only the residual
-// solve: Dual holds the duals of the residual edges (new load only), Cover
-// the vertices that joined during this solve.
-func RunResidual(g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, error) {
-	if err := opts.validate(g); err != nil {
-		return nil, err
-	}
-	if err := validateCarry(g, carry); err != nil {
-		return nil, err
-	}
-	if opts.Exact {
-		return runLockstep(newRatNumeric(), g, opts, carry)
-	}
-	return runLockstepFloat(g, opts, carry)
-}
-
-// BuildResidualNetwork constructs the bipartite CONGEST network for a
-// residual instance with carried vertex loads: vertex node v starts at the
-// level its load implies and the protocol switches to the residual init
-// messages, which carry that level so edges can size their first bid to the
-// remaining slack. Everything else — topology, node ids, the iteration
-// phases — matches BuildNetwork, so the returned handles run on any engine
-// via RunBuiltNetwork.
-//
-// The network contains only the dirty part of the instance (sessions build
-// it from the residual subinstance), so under the sharded engine only the
-// shards that received new work step at all; the quiescent bulk of a large
-// session never allocates or runs.
-func BuildResidualNetwork(g *hypergraph.Hypergraph, opts Options, carry []float64) (*congest.Network, []*vertexNode, []*edgeNode, error) {
-	if err := validateCarry(g, carry); err != nil {
-		return nil, nil, nil, err
-	}
-	return buildNetwork(g, opts, carry)
-}
-
-// RunResidualCongest is RunResidual on the message-passing path: it builds
-// the residual network and executes the Appendix B protocol (with the
-// residual init handshake) on the given engine. Results are identical to
-// RunResidual — both paths compute the warm iteration 0 with the same float
-// operations in the same order.
-func RunResidualCongest(g *hypergraph.Hypergraph, opts Options, carry []float64,
-	eng congest.Engine, congestOpts congest.Options) (*Result, congest.Metrics, error) {
-	nw, vnodes, enodes, err := BuildResidualNetwork(g, opts, carry)
-	if err != nil {
-		return nil, congest.Metrics{}, err
-	}
-	return RunBuiltNetwork(g, opts, nw, vnodes, enodes, eng, congestOpts)
 }

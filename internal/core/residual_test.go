@@ -28,7 +28,7 @@ func makeResidualFixture(t *testing.T, rng *rand.Rand, n int) (*Result, *residua
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(base, DefaultOptions())
+	res, err := Run(base, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +108,12 @@ func TestResidualLockstepCongestParity(t *testing.T) {
 			continue
 		}
 		fixtures++
-		ref, err := RunResidual(fx.g, DefaultOptions(), fx.carry)
+		ref, err := Run(fx.g, DefaultOptions(), fx.carry)
 		if err != nil {
 			t.Fatalf("fixture %d: lockstep: %v", i, err)
 		}
 		for name, eng := range engines {
-			res, _, err := RunResidualCongest(fx.g, DefaultOptions(), fx.carry, eng, congest.Options{Validate: true})
+			res, _, err := RunCongest(fx.g, DefaultOptions(), fx.carry, eng, congest.Options{Validate: true})
 			if err != nil {
 				t.Fatalf("fixture %d: %s: %v", i, name, err)
 			}
@@ -145,7 +145,7 @@ func TestResidualDualFeasibility(t *testing.T) {
 		if fx == nil {
 			continue
 		}
-		res, err := RunResidual(fx.g, DefaultOptions(), fx.carry)
+		res, err := Run(fx.g, DefaultOptions(), fx.carry)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,20 +176,20 @@ func TestResidualCarryValidation(t *testing.T) {
 		{6, 0},    // > weight
 	}
 	for i, carry := range cases {
-		if _, err := RunResidual(g, DefaultOptions(), carry); !errors.Is(err, ErrBadCarry) {
+		if _, err := Run(g, DefaultOptions(), carry); !errors.Is(err, ErrBadCarry) {
 			t.Errorf("case %d: got %v, want ErrBadCarry", i, err)
 		}
 	}
-	if _, err := RunResidual(g, DefaultOptions(), []float64{0, 0}); err != nil {
+	if _, err := Run(g, DefaultOptions(), []float64{0, 0}); err != nil {
 		t.Errorf("zero carry should run: %v", err)
 	}
 	// Zero carry behaves exactly like a cold run (levels all 0 reduce the
 	// warm bid rule to the paper's).
-	cold, err := Run(g, DefaultOptions())
+	cold, err := Run(g, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunResidual(g, DefaultOptions(), []float64{0, 0})
+	warm, err := Run(g, DefaultOptions(), []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

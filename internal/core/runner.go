@@ -434,47 +434,29 @@ func (st *state[T]) refreshVertexAggregates() {
 func (st *state[T]) fill(res *Result) {
 	num, g := st.num, st.g
 	res.InCover = append([]bool(nil), st.inCover...)
-	// Pre-count the cover so res.Cover is sized in one allocation; the
-	// ascending vertex scan appends it already sorted.
-	size := 0
-	for _, in := range st.inCover {
-		if in {
-			size++
-		}
-	}
-	if size > 0 {
-		res.Cover = make([]hypergraph.VertexID, 0, size)
-	}
-	for v, in := range st.inCover {
-		if in {
-			res.Cover = append(res.Cover, hypergraph.VertexID(v))
-			res.CoverWeight += g.Weight(hypergraph.VertexID(v))
-		}
-	}
 	res.Dual = make([]float64, g.NumEdges())
 	for e := range res.Dual {
 		res.Dual[e] = num.Float(st.delta[e])
-		res.DualValue += res.Dual[e]
 	}
+	finish(g, res)
 	for _, l := range st.level {
 		if l > res.MaxLevel {
 			res.MaxLevel = l
 		}
 	}
-	if res.DualValue > 0 {
-		res.RatioBound = float64(res.CoverWeight) / res.DualValue
-	} else if res.CoverWeight == 0 {
-		res.RatioBound = 1
-	} else {
-		res.RatioBound = math.Inf(1)
-	}
 	if st.opts.CollectTrace {
 		res.EdgeRaises = append([]int(nil), st.raises...)
 		res.MaxStuckPerLevel = append([]int(nil), st.stuckMax...)
 	}
-	if g.NumEdges() == 0 {
-		res.Rounds = 1
-	} else {
-		res.Rounds = 2 + 2*res.Iterations
+	res.Rounds = lockstepRounds(g.NumEdges(), res.Iterations)
+}
+
+// lockstepRounds is the CONGEST round count of a lockstep run: 2 rounds
+// for iteration 0 plus 2 per iteration (Appendix B mapping), or 1 when
+// there is no edge to cover.
+func lockstepRounds(m, iterations int) int {
+	if m == 0 {
+		return 1
 	}
+	return 2 + 2*iterations
 }

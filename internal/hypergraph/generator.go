@@ -297,45 +297,6 @@ func CompleteGraph(n int) (*Hypergraph, error) {
 	return b.Build()
 }
 
-// PlantedCover generates an instance with a known small cover: k "hub"
-// vertices of weight hubWeight and n-k "spoke" vertices of weight
-// spokeWeight; every edge contains exactly one random hub and f-1 random
-// spokes. The hub set is always a cover of weight k*hubWeight, which upper
-// bounds OPT and makes approximation ratios easy to audit.
-func PlantedCover(n, m, f, k int, hubWeight, spokeWeight int64, cfg GenConfig) (*Hypergraph, []VertexID, error) {
-	if k <= 0 || k >= n || f < 1 || f > n-k+1 || m < 0 {
-		return nil, nil, fmt.Errorf("hypergraph: invalid PlantedCover params n=%d m=%d f=%d k=%d", n, m, f, k)
-	}
-	rng := cfg.rng()
-	b := NewBuilder(n, m)
-	hubs := make([]VertexID, 0, k)
-	for i := 0; i < k; i++ {
-		hubs = append(hubs, b.AddVertex(hubWeight))
-	}
-	for i := k; i < n; i++ {
-		b.AddVertex(spokeWeight)
-	}
-	nSpokes := n - k
-	for e := 0; e < m; e++ {
-		edge := make([]VertexID, 0, f)
-		edge = append(edge, hubs[rng.Intn(k)])
-		seen := make(map[VertexID]bool, f)
-		for len(edge) < f {
-			v := VertexID(k + rng.Intn(nSpokes))
-			if !seen[v] {
-				seen[v] = true
-				edge = append(edge, v)
-			}
-		}
-		b.AddEdge(edge...)
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, hubs, nil
-}
-
 // SetCoverInstance builds the MWHVC hypergraph equivalent of a weighted set
 // cover instance: subsets become vertices (weight = set cost) and elements
 // become hyperedges over the subsets containing them (Section 2 reduction).

@@ -138,22 +138,6 @@ func TestCompleteGraph(t *testing.T) {
 	}
 }
 
-func TestPlantedCover(t *testing.T) {
-	g, hubs, err := PlantedCover(100, 300, 3, 5, 10, 1, GenConfig{Seed: 3})
-	if err != nil {
-		t.Fatalf("PlantedCover: %v", err)
-	}
-	if len(hubs) != 5 {
-		t.Fatalf("hubs = %d, want 5", len(hubs))
-	}
-	if !g.IsCover(hubs) {
-		t.Error("planted hub set is not a cover")
-	}
-	if w := g.CoverWeight(hubs); w != 50 {
-		t.Errorf("hub cover weight = %d, want 50", w)
-	}
-}
-
 func TestSetCoverInstance(t *testing.T) {
 	// Elements {0,1,2}; sets: {0,1} cost 3, {1,2} cost 4, {2} cost 1.
 	g, err := SetCoverInstance(3, [][]int{{0, 1}, {1, 2}, {2}}, []int64{3, 4, 1})
@@ -232,8 +216,7 @@ func TestGeneratedInstancesAlwaysValid(t *testing.T) {
 		if Validate(g) != nil {
 			return false
 		}
-		s := ComputeStats(g)
-		if m > 0 && (s.Rank > f || s.MaxDegree > m) {
+		if m > 0 && (g.Rank() > f || g.MaxDegree() > m) {
 			return false
 		}
 		// Sum of degrees equals sum of edge sizes.

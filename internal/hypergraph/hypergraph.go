@@ -115,16 +115,6 @@ func (g *Hypergraph) IncidentCopy(v VertexID) []EdgeID {
 // Degree returns |E(v)|, the number of edges containing v.
 func (g *Hypergraph) Degree(v VertexID) int { return g.incOff[v+1] - g.incOff[v] }
 
-// EdgeOffsets returns the edge CSR offset array as a read-only view: edge
-// e's vertices occupy positions [off[e], off[e+1]) of the edge-vertex
-// array, so off is also the cumulative edge volume the flat runner
-// volume-balances its chunks with. len(off) == NumEdges()+1, or 0 for the
-// zero-value graph. The Edge aliasing contract applies: do not modify, do
-// not retain across an Extend.
-func (g *Hypergraph) EdgeOffsets() []int {
-	return g.edgeOff[:len(g.edgeOff):len(g.edgeOff)]
-}
-
 // IncidenceOffsets returns the incidence CSR offset array as a read-only
 // view: vertex v's incident edges occupy positions [off[v], off[v+1]) of
 // the incidence array. len(off) == NumVertices()+1, or 0 for the
@@ -247,30 +237,6 @@ func (g *Hypergraph) IsCover(cover []VertexID) bool {
 		}
 	}
 	return true
-}
-
-// UncoveredEdges returns the edges not stabbed by the given vertex set.
-func (g *Hypergraph) UncoveredEdges(cover []VertexID) []EdgeID {
-	in := make([]bool, len(g.weights))
-	for _, v := range cover {
-		if v >= 0 && int(v) < len(in) {
-			in[v] = true
-		}
-	}
-	var out []EdgeID
-	for e, m := 0, g.NumEdges(); e < m; e++ {
-		stabbed := false
-		for _, v := range g.edgeVerts[g.edgeOff[e]:g.edgeOff[e+1]] {
-			if in[v] {
-				stabbed = true
-				break
-			}
-		}
-		if !stabbed {
-			out = append(out, EdgeID(e))
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy of g. The copy shares no storage with g, so it

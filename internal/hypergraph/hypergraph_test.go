@@ -99,17 +99,6 @@ func TestIsCoverAndCoverWeight(t *testing.T) {
 	}
 }
 
-func TestUncoveredEdges(t *testing.T) {
-	g := triangle(t)
-	un := g.UncoveredEdges([]VertexID{0})
-	if len(un) != 1 || un[0] != 1 {
-		t.Errorf("UncoveredEdges({0}) = %v, want [1]", un)
-	}
-	if got := g.UncoveredEdges([]VertexID{0, 1, 2}); len(got) != 0 {
-		t.Errorf("UncoveredEdges(all) = %v, want empty", got)
-	}
-}
-
 func TestLocalMaxDegree(t *testing.T) {
 	// Star with Δ=4: center has degree 4, leaves degree 1.
 	g, err := Star(4, 3, 10)

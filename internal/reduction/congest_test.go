@@ -22,11 +22,11 @@ func TestReducedInstanceRunsOnCongest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lockstep, err := core.Run(zoRed.G, core.DefaultOptions())
+		lockstep, err := core.Run(zoRed.G, core.DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		congRes, metrics, err := core.RunCongest(zoRed.G, core.DefaultOptions(),
+		congRes, metrics, err := core.RunCongest(zoRed.G, core.DefaultOptions(), nil,
 			congest.SequentialEngine{}, congest.Options{Validate: true})
 		if err != nil {
 			t.Fatalf("seed %d: congest on reduced instance: %v", seed, err)

@@ -59,7 +59,7 @@ func SolveILP(p *lp.CoveringILP, coreOpts core.Options, redOpts Options) (*Pipel
 	if err != nil {
 		return nil, fmt.Errorf("reduction: to hypergraph: %w", err)
 	}
-	res, err := core.Run(zoRed.G, coreOpts)
+	res, err := core.Run(zoRed.G, coreOpts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("reduction: core run: %w", err)
 	}

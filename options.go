@@ -18,7 +18,7 @@ type solveConfig struct {
 	engine engineKind
 	shards int
 	// congest records that an engine option was given explicitly. Solve and
-	// SolveCongest ignore it (their execution path is fixed by the call);
+	// SolveCongest override it (their execution path is fixed by the call);
 	// sessions use it to decide between the lockstep simulator (default)
 	// and the message protocol on the selected engine.
 	congest bool
@@ -184,12 +184,12 @@ func WithSolverParallelism(n int) Option {
 	return optionFunc(func(c *solveConfig) { c.parallelism = n })
 }
 
-// WithClusterPeers makes NewSession run the initial solve and every
-// Session.Update residual re-solve partitioned across the given coverd
-// peer processes (see ClusterSolve; results stay bit-identical to the
-// single-process engines). ClusterSolve sets it implicitly from its peers
-// argument. Combine with WithClusterPartitions to run more partitions than
-// peers.
+// WithClusterPeers makes Solve, NewSession and every Session.Update
+// residual re-solve run partitioned across the given coverd peer processes
+// (see ClusterSolve; results stay bit-identical to the single-process
+// engines). The peers take precedence over every other engine option.
+// ClusterSolve sets it from its peers argument; SolveCongest ignores it.
+// Combine with WithClusterPartitions to run more partitions than peers.
 func WithClusterPeers(addrs ...string) Option {
 	return optionFunc(func(c *solveConfig) {
 		c.clusterPeers = append([]string(nil), addrs...)
@@ -260,10 +260,6 @@ func WithTCPEngine() Option {
 		c.engine = engineTCP
 		c.congest = true
 	})
-}
-
-func buildOptions(opts []Option) core.Options {
-	return optConfig(opts).core
 }
 
 // buildEngine materializes the configured CONGEST engine.

@@ -299,8 +299,6 @@ func solve(inst *distcover.Instance, ilp *distcover.ILP, o api.SolveOptions, clu
 		stats *distcover.CongestStats
 	)
 	switch o.Engine {
-	case api.EngineCluster:
-		sol, err = distcover.ClusterSolve(inst, cluster.peers, opts...)
 	case api.EngineCongest, api.EngineCongestParallel, api.EngineCongestSharded, api.EngineCongestTCP:
 		sol, stats, err = distcover.SolveCongest(inst, opts...)
 	default:

@@ -3,10 +3,8 @@ package distcover
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
-	"distcover/internal/congest"
 	"distcover/internal/core"
 	"distcover/internal/hypergraph"
 )
@@ -118,33 +116,12 @@ func NewSession(inst *Instance, opts ...Option) (*Session, error) {
 		return nil, ErrNilInstance
 	}
 	cfg := optConfig(opts)
-	s := &Session{cfg: cfg, g: inst.g}
-	var res *core.Result
-	var err error
-	switch {
-	case len(cfg.clusterPeers) > 0 || cfg.clusterParts > 0:
-		res, err = clusterRun(s.g, cfg, nil)
-	case cfg.congest:
-		stop := s.cfg.startSpan(cfg.congestEngineName())
-		var metrics congest.Metrics
-		res, metrics, err = core.RunCongest(s.g, s.cfg.core, cfg.buildEngine(), congest.Options{Validate: true})
-		stop()
-		if err == nil {
-			s.congest = &CongestStats{}
-			s.addCongest(metrics)
-		}
-	case cfg.flat:
-		stop := s.cfg.startSpan("flat")
-		res, err = core.RunFlat(s.g, s.cfg.core, cfg.parallelism)
-		stop()
-	default:
-		stop := s.cfg.startSpan("sim")
-		res, err = core.Run(s.g, s.cfg.core)
-		stop()
-	}
+	res, stats, err := run(inst.g, cfg, nil, 0)
 	if err != nil {
 		return nil, fmt.Errorf("distcover: session: %w", err)
 	}
+	s := &Session{cfg: cfg, g: inst.g}
+	s.addCongest(stats)
 	n, m := s.g.NumVertices(), s.g.NumEdges()
 	s.inCover = append([]bool(nil), res.InCover...)
 	s.coverWeight = res.CoverWeight
@@ -203,6 +180,7 @@ func (s *Session) Update(d Delta) (*UpdateStats, error) {
 	}
 
 	var res *core.Result
+	var congestStats *CongestStats
 	var orig []int // residual id -> full vertex id
 	var rg *hypergraph.Hypergraph
 	if len(resEdges) > 0 {
@@ -241,39 +219,11 @@ func (s *Session) Update(d Delta) (*UpdateStats, error) {
 					carry[i] = s.load[v]
 				}
 			}
-			switch {
-			case len(s.cfg.clusterPeers) > 0 || s.cfg.clusterParts > 0:
-				// The residual instance plus carried loads is exactly the
-				// compact session delta the peers receive; the full base
-				// instance never re-crosses the wire (and with no peers the
-				// partitions run in-process over shared memory).
-				res, err = clusterRun(rg, s.cfg, carry)
-			case s.cfg.congest:
-				// The CONGEST bit budget is a property of the whole system,
-				// not of the (small) residual sub-network: messages carry
-				// weights of the full instance, so size the O(log n) budget
-				// from it.
-				copts := congest.Options{
-					Validate:  true,
-					BitBudget: congest.LogBudget(newG.NumVertices() + newG.NumEdges()),
-				}
-				stop := s.cfg.startSpan(s.cfg.congestEngineName())
-				var metrics congest.Metrics
-				res, metrics, err = core.RunResidualCongest(rg, s.cfg.core, carry,
-					s.cfg.buildEngine(), copts)
-				stop()
-				if err == nil {
-					s.addCongest(metrics)
-				}
-			case s.cfg.flat:
-				stop := s.cfg.startSpan("flat")
-				res, err = core.RunResidualFlat(rg, s.cfg.core, carry, s.cfg.parallelism)
-				stop()
-			default:
-				stop := s.cfg.startSpan("sim")
-				res, err = core.RunResidual(rg, s.cfg.core, carry)
-				stop()
-			}
+			// The residual instance plus carried loads is exactly the
+			// compact session delta cluster peers receive; the full base
+			// instance never re-crosses the wire. A CONGEST engine sizes its
+			// bit budget from the full instance.
+			res, congestStats, err = run(rg, s.cfg, carry, newG.NumVertices()+newG.NumEdges())
 		}
 		if err != nil {
 			return nil, fmt.Errorf("distcover: session update: %w", err)
@@ -318,6 +268,7 @@ func (s *Session) Update(d Delta) (*UpdateStats, error) {
 		stats.Iterations = res.Iterations
 		stats.Rounds = res.Rounds
 	}
+	s.addCongest(congestStats)
 	s.updates++
 	return stats, nil
 }
@@ -387,14 +338,7 @@ func (s *Session) solutionLocked() *Solution {
 			sol.Cover = append(sol.Cover, v)
 		}
 	}
-	switch {
-	case s.dualValue > 0:
-		sol.RatioBound = float64(s.coverWeight) / s.dualValue
-	case s.coverWeight == 0:
-		sol.RatioBound = 1
-	default:
-		sol.RatioBound = math.Inf(1)
-	}
+	sol.RatioBound = core.RatioBound(s.coverWeight, s.dualValue)
 	return sol
 }
 
@@ -492,14 +436,22 @@ func (s *Session) Close() {
 	s.mu.Unlock()
 }
 
-func (s *Session) addCongest(m congest.Metrics) {
-	s.congest.Rounds += m.Rounds
-	s.congest.Messages += m.Messages
-	s.congest.TotalBits += m.TotalBits
-	if m.MaxMessageBits > s.congest.MaxMessageBits {
-		s.congest.MaxMessageBits = m.MaxMessageBits
+// addCongest accumulates one solve's CONGEST metrics; nil (no CONGEST
+// engine ran) adds nothing.
+func (s *Session) addCongest(c *CongestStats) {
+	if c == nil {
+		return
 	}
-	s.congest.WireBytes += m.WireBytes
+	if s.congest == nil {
+		s.congest = &CongestStats{}
+	}
+	s.congest.Rounds += c.Rounds
+	s.congest.Messages += c.Messages
+	s.congest.TotalBits += c.TotalBits
+	if c.MaxMessageBits > s.congest.MaxMessageBits {
+		s.congest.MaxMessageBits = c.MaxMessageBits
+	}
+	s.congest.WireBytes += c.WireBytes
 }
 
 // Extend returns a new instance equal to in plus the delta, validating it

@@ -170,6 +170,38 @@ func TestSessionCongestEngines(t *testing.T) {
 	}
 }
 
+// TestSessionCongestBudgetFromFullInstance: a residual re-solve on a
+// CONGEST engine sizes its O(log n) message budget from the whole
+// instance, not from the residual network. Here the residual network has
+// three nodes (a 24-bit budget of its own) while its messages carry
+// 31-bit weights of the whole 82-node instance.
+func TestSessionCongestBudgetFromFullInstance(t *testing.T) {
+	const n, w = 40, 1 << 30
+	weights := make([]int64, n)
+	edges := make([][]int, n-1)
+	for v := range weights {
+		weights[v] = w
+	}
+	for e := range edges {
+		edges[e] = []int{e, e + 1}
+	}
+	inst, err := NewInstance(weights, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(inst, WithSequentialEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Update(Delta{Weights: []int64{w, w}, Edges: [][]int{{n, n + 1}}})
+	if err != nil {
+		t.Fatalf("residual update: %v", err)
+	}
+	if st.ResidualVertices != 2 || st.ResidualEdges != 1 {
+		t.Fatalf("residual %d vertices, %d edges; want 2 and 1", st.ResidualVertices, st.ResidualEdges)
+	}
+}
+
 // TestSessionMatchesFromScratchCertificate drives a session through random
 // deltas and checks after every batch that the incremental state stays
 // within the certificate of a from-scratch solve of the identical instance.
