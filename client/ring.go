@@ -104,7 +104,7 @@ func (c *Client) allBases() []string {
 // standalone path never pays.
 func solveKey(req *api.SolveRequest) string {
 	switch {
-	case len(req.Instance) > 0:
+	case api.Present(req.Instance):
 		inst, err := distcover.ReadInstance(bytes.NewReader(req.Instance))
 		if err != nil {
 			return "" // malformed; let the owner-agnostic POST surface the 400

@@ -1,6 +1,7 @@
 package sessions
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -19,7 +20,8 @@ const clusterLocalParts = 2
 // MeasureAllocs counts heap allocations on the hot paths the ROADMAP asks
 // to gate machine-independently: a full lockstep solve, the same solve on
 // the chunk-parallel flat runner and split into clusterLocalParts
-// in-process partitions, and a session delta batch. Allocation
+// in-process partitions, a session delta batch, and the instance path of
+// every request: decoding the instance JSON and hashing it. Allocation
 // counts are a property of the code, not the hardware, so the baseline
 // comparator holds them to exact equality (the 0.001 tolerance is
 // float-formatting slack) — the regression gate that raw wall-clock
@@ -54,6 +56,16 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	var body bytes.Buffer
+	if _, err := inst.WriteTo(&body); err != nil {
+		return nil, nil, err
+	}
+	decodeAllocs := testing.AllocsPerRun(20, func() {
+		if _, err := distcover.ReadInstance(bytes.NewReader(body.Bytes())); err != nil {
+			panic(err)
+		}
+	})
+	hashAllocs := testing.AllocsPerRun(20, func() { inst.Hash() })
 
 	t := bench.Table{
 		ID:     "allocs",
@@ -64,11 +76,15 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 	t.AddRow(fmt.Sprintf("Solve (flat, %d workers)", flatWorkers), fmt.Sprintf("%.0f", flatAllocs))
 	t.AddRow(fmt.Sprintf("Solve (in-process, %d partitions)", clusterLocalParts), fmt.Sprintf("%.0f", clusterLocalAllocs))
 	t.AddRow("Session.Update (100-edge delta)", fmt.Sprintf("%.0f", updateAllocs))
+	t.AddRow("ReadInstance (2000x4000 JSON)", fmt.Sprintf("%.0f", decodeAllocs))
+	t.AddRow("Instance.Hash (no cached order)", fmt.Sprintf("%.0f", hashAllocs))
 	ms := []bench.Measurement{
 		{Name: "allocs/solve/sim", Value: solveAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/solve/flat", Value: flatAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/solve/cluster-local", Value: clusterLocalAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/session/update", Value: updateAllocs, Unit: "allocs", Tolerance: 0.001},
+		{Name: "allocs/instance/decode", Value: decodeAllocs, Unit: "allocs", Tolerance: 0.001},
+		{Name: "allocs/instance/hash", Value: hashAllocs, Unit: "allocs", Tolerance: 0.001},
 	}
 	return ms, []bench.Table{t}, nil
 }

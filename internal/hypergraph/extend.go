@@ -87,7 +87,7 @@ func (g *Hypergraph) Extend(addWeights []int64, addEdges [][]VertexID) (*Hypergr
 		h.edgeOff = append(h.edgeOff, len(h.edgeVerts))
 	}
 	h.extendIncidence(g, newEdges)
-	h.canon = mergeCanonicalOrder(h, g.canon, m0)
+	h.canon = mergeCanonicalOrder(h, g.canonicalOrder(), m0)
 	return h, nil
 }
 
@@ -174,18 +174,14 @@ func growCopy[T any](s []T, extra int) []T {
 }
 
 // mergeCanonicalOrder computes the canonical (lexicographic) edge order of
-// the extended graph h by merging the base order of edges [0, m0) — cached
-// if a prior Extend left one, sorted once otherwise — with the sorted order
-// of the new suffix [m0, m). Each new edge's insertion point is found by
-// binary search and the runs between them are block-copied, so the merge
-// costs O(k·(log k + log m)) comparisons plus one O(m) memmove — the
-// comparator never walks the whole old order. The result is always a fresh
+// the extended graph h by merging the base order of edges [0, m0) with the
+// sorted order of the new suffix [m0, m). Each new edge's insertion point
+// is found by binary search and the runs between them are block-copied, so
+// the merge costs O(k·(log k + log m)) comparisons plus one O(m) memmove —
+// the comparator never walks the whole old order. The result is always a fresh
 // slice: sharing the base's order across the extension tree would make the
 // graphs' byte accounting (MemoryBytes) overlap.
 func mergeCanonicalOrder(h *Hypergraph, oldOrder []int, m0 int) []int {
-	if oldOrder == nil {
-		oldOrder = h.canonicalEdgeOrder(0, m0)
-	}
 	newOrder := h.canonicalEdgeOrder(m0, h.NumEdges())
 	if len(newOrder) == 0 {
 		return append([]int(nil), oldOrder...)
@@ -209,7 +205,8 @@ func mergeCanonicalOrder(h *Hypergraph, oldOrder []int, m0 int) []int {
 }
 
 // edgeLexLess is the canonical edge comparator: lexicographic on the sorted
-// vertex lists, shorter prefixes first. Must match canonicalEdgeOrder.
+// vertex lists, shorter prefixes first. It is the order slices.Compare
+// gives, which sortEdges uses for large buckets.
 func edgeLexLess(a, b []VertexID) bool {
 	for k := 0; k < len(a) && k < len(b); k++ {
 		if a[k] != b[k] {

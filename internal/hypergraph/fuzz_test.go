@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -38,4 +39,130 @@ func FuzzJSONDecode(f *testing.F) {
 			t.Fatal("round trip not stable")
 		}
 	})
+}
+
+// decodeSeeds are the shapes the one-pass scanner must either decode
+// exactly as encoding/json does or hand to decodeReference: whitespace and
+// key order, unknown keys, null, repeated and case- or escape-variant keys,
+// number forms, out-of-range ids, empty edges and trailing bytes.
+var decodeSeeds = []string{
+	`{"weights":[3,1,4],"edges":[[0,1],[1,2],[0,2]]}`,
+	" {\n\t\"edges\" : [ [ 2 , 0 ] ,[1]] ,\r\n \"weights\" : [ 5 , 6 , 7 ] } \n",
+	`{"edges":[[0,1]],"weights":[1,1]}`,
+	`{}`,
+	`{ }`,
+	`{"weights":[],"edges":[]}`,
+	`{"weights":[ ],"edges":[ ]}`,
+	`{"weights":[4,4]}`,
+	`{"edges":[]}`,
+	`{"edges":[[0]]}`,
+	`{"weights":[1,2],"edges":[[1,0,1],[1,1]]}`,
+	`{"weights":[1,1,1,1,1],"edges":[[4,3,2,1,0,4]]}`,
+	`{"weights":[1],"edges":[[0]],"meta":{"a":[1,{"b":null}],"s":"x\"}"}}`,
+	`{"note":"x","weights":[1],"edges":[[0]]}`,
+	`null`,
+	` null `,
+	`{"weights":null,"edges":null}`,
+	`{"weights":[1,null],"edges":[[0]]}`,
+	`{"weights":[1],"edges":[null]}`,
+	`{"weights":[1],"edges":[[null]]}`,
+	`{"weights":[1,1],"edges":[[1,null]]}`,
+	`{"weights":[1],"weights":[2,3],"edges":[[1]]}`,
+	`{"edges":[[0,1]],"weights":[1,1],"edges":[[null]]}`,
+	`{"WEIGHTS":[1],"edges":[[0]]}`,
+	`{"Edges":[[0]],"weights":[1]}`,
+	`{"weightſ":[1],"edges":[[0]]}`,
+	`{"weights":[1],"edges":[[0]]}`,
+	`{"weights":[1],"edges":[[-0]]}`,
+	`{"weights":[-0],"edges":[]}`,
+	`{"weights":[1.0],"edges":[]}`,
+	`{"weights":[1],"edges":[[0.0]]}`,
+	`{"weights":[1e2],"edges":[]}`,
+	`{"weights":[1E+2],"edges":[]}`,
+	`{"weights":[01],"edges":[]}`,
+	`{"weights":[1],"edges":[[00]]}`,
+	`{"weights":[9223372036854775807],"edges":[[0]]}`,
+	`{"weights":[9223372036854775808],"edges":[]}`,
+	`{"weights":[-9223372036854775808],"edges":[]}`,
+	`{"weights":[1],"edges":[[9223372036854775808]]}`,
+	`{"weights":[1],"edges":[[9223372036854775807]]}`,
+	`{"weights":[1],"edges":[[1]]}`,
+	`{"weights":[1],"edges":[[-1]]}`,
+	`{"weights":[1,2],"edges":[[0,-1]]}`,
+	`{"weights":[0],"edges":[]}`,
+	`{"weights":[+1],"edges":[]}`,
+	`{"weights":[1],"edges":[[]]}`,
+	`{"weights":[1],"edges":[[0],[]]}`,
+	`{"weights":[1],"edges":[[0]]} x`,
+	`{"weights":[1],"edges":[[0]]}}`,
+	`{"weights":[1],"edges":[[0]]}` + "\n",
+	`{"weights":[1,],"edges":[]}`,
+	`{"weights":[1],"edges":[],}`,
+	`{"weights":[1] "edges":[]}`,
+	`{"weights":[1],"edges":[[0]]`,
+	`{"weights":"1"}`,
+	`[]`,
+	``,
+	"\xef\xbb\xbf{}",
+}
+
+// FuzzDecodeMatchesReference checks UnmarshalJSON, which scans the plain
+// shape in one pass, against decodeReference, the encoding/json decoder it
+// falls back to: both must accept and reject the same inputs with the same
+// error text and build the same hypergraph.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Hypergraph
+		gotErr := got.UnmarshalJSON(data)
+		want, wantErr := decodeReference(data)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("UnmarshalJSON error %v, reference error %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("error %q, reference %q", gotErr, wantErr)
+			}
+			return
+		}
+		requireSameGraph(t, &got, want)
+		if g, ok := scanInstance(data); ok {
+			if cap(g.weights) != len(g.weights) || cap(g.edgeOff) != len(g.edgeOff) ||
+				cap(g.edgeVerts) != len(g.edgeVerts) {
+				t.Fatal("scanned arrays carry spare capacity")
+			}
+		}
+	})
+}
+
+// requireSameGraph compares two hypergraphs through their accessors.
+func requireSameGraph(t *testing.T, got, want *Hypergraph) {
+	t.Helper()
+	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("n=%d m=%d, want n=%d m=%d", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+	}
+	if !slices.Equal(got.Weights(), want.Weights()) {
+		t.Fatalf("weights %v, want %v", got.Weights(), want.Weights())
+	}
+	for e := 0; e < want.NumEdges(); e++ {
+		if !slices.Equal(got.Edge(EdgeID(e)), want.Edge(EdgeID(e))) {
+			t.Fatalf("edge %d = %v, want %v", e, got.Edge(EdgeID(e)), want.Edge(EdgeID(e)))
+		}
+	}
+	for v := 0; v < want.NumVertices(); v++ {
+		if !slices.Equal(got.Incident(VertexID(v)), want.Incident(VertexID(v))) {
+			t.Fatalf("incident(%d) = %v, want %v", v, got.Incident(VertexID(v)), want.Incident(VertexID(v)))
+		}
+	}
+	if got.Rank() != want.Rank() || got.MaxDegree() != want.MaxDegree() {
+		t.Fatalf("rank/Δ %d/%d, want %d/%d", got.Rank(), got.MaxDegree(), want.Rank(), want.MaxDegree())
+	}
+	if got.MemoryBytes() != want.MemoryBytes() {
+		t.Fatalf("MemoryBytes %d, want %d", got.MemoryBytes(), want.MemoryBytes())
+	}
+	if got.Hash() != want.Hash() {
+		t.Fatal("hash differs")
+	}
 }

@@ -2,6 +2,8 @@ package hypergraph
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -91,5 +93,52 @@ func TestHashEmptyAndEdgeless(t *testing.T) {
 	other := mustBuild(t, []int64{2, 1}, nil)
 	if edgeless.Hash() == other.Hash() {
 		t.Fatal("weight order should matter (vertex ids are positional)")
+	}
+}
+
+// TestCanonicalOrderMatchesComparisonSort checks the bucketed canonical
+// order against one comparison sort over all edges on random graphs:
+// small vertex ranges force duplicate edges, a hub vertex forces buckets
+// past the insertion-sort size, and m=0 and n=0 are included. Among equal
+// edges the ids may differ, so the edge sequences are compared.
+func TestCanonicalOrderMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	graphs := []*Hypergraph{{}, mustBuild(t, nil, nil), mustBuild(t, []int64{1, 1}, nil)}
+	for i := 0; i < 200; i++ {
+		n := 1 + rng.Intn(30)
+		weights := make([]int64, n)
+		for v := range weights {
+			weights[v] = 1
+		}
+		edges := make([][]VertexID, rng.Intn(80))
+		for e := range edges {
+			size := 1 + rng.Intn(min(n, 4))
+			for len(edges[e]) < size {
+				edges[e] = append(edges[e], VertexID(rng.Intn(n)))
+			}
+			if i%3 == 0 {
+				edges[e][0] = 0 // one hub leads most edges
+			}
+		}
+		graphs = append(graphs, mustBuild(t, weights, edges))
+	}
+	for i, g := range graphs {
+		got := g.canonicalOrder()
+		want := g.canonicalEdgeOrder(0, g.NumEdges())
+		ids := slices.Clone(got)
+		slices.Sort(ids)
+		if len(ids) != g.NumEdges() {
+			t.Fatalf("graph %d: order has %d ids, want %d", i, len(ids), g.NumEdges())
+		}
+		for k, e := range ids {
+			if e != k {
+				t.Fatalf("graph %d: order %v is not a permutation of the edge ids", i, got)
+			}
+		}
+		for k := range want {
+			if !slices.Equal(g.Edge(EdgeID(got[k])), g.Edge(EdgeID(want[k]))) {
+				t.Fatalf("graph %d position %d: edge %v, want %v", i, k, g.Edge(EdgeID(got[k])), g.Edge(EdgeID(want[k])))
+			}
+		}
 	}
 }

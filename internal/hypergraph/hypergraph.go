@@ -22,6 +22,18 @@
 // algorithm are linear passes over these arrays — and makes the memory
 // footprint of an instance a closed-form function of the array lengths
 // (see MemoryBytes).
+//
+// # Decoding
+//
+// UnmarshalJSON, and with it ReadFrom, decodes in one pass straight into
+// the CSR arrays: a byte scanner counts the weights, edges and edge entries
+// to size the arrays exactly, then fills them, sorting and deduplicating
+// each edge in place. The scanner takes only the plain shape — an object
+// with "weights" and "edges" at most once each, in either order, holding
+// integer literals, with whitespace anywhere — and only valid instances.
+// Every other input falls back to the encoding/json decoder, which decides
+// the outcome and words the error; a fuzz target holds the two to the same
+// answers.
 package hypergraph
 
 import (

@@ -101,3 +101,33 @@ func TestJSONRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScanInstanceTakesPlainShape pins which inputs the one-pass scanner
+// decodes itself rather than handing to the encoding/json reference.
+func TestScanInstanceTakesPlainShape(t *testing.T) {
+	for _, data := range []string{
+		`{}`,
+		`{"weights":[3,1,4],"edges":[[0,1],[1,2],[0,2]]}`,
+		" {\n\t\"edges\" : [ [ 2 , 0 ] ,[1]] ,\r\n \"weights\" : [ 5 , 6 , 7 ] } \n",
+		`{"weights":[1,2],"edges":[[1,0,1],[-0]]}`,
+		`{"weights":[9223372036854775807]}`,
+	} {
+		if _, ok := scanInstance([]byte(data)); !ok {
+			t.Errorf("scanner declined %q", data)
+		}
+	}
+	for _, data := range []string{
+		`null`,
+		`{"weights":null}`,
+		`{"Weights":[1]}`,
+		`{"weights":[1],"weights":[1]}`,
+		`{"weights":[1],"note":0}`,
+		`{"weights":[1e0]}`,
+		`{"weights":[9223372036854775808]}`,
+		`{"weights":[1],"edges":[[1]]}`,
+	} {
+		if _, ok := scanInstance([]byte(data)); ok {
+			t.Errorf("scanner accepted %q", data)
+		}
+	}
+}

@@ -153,9 +153,17 @@ func KeyILP(spec *ILPSpec) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// Present reports whether a raw instance field carries a value. An
+// explicit JSON null means the same as leaving the field out, but
+// json.RawMessage keeps it as the four bytes "null".
+func Present(raw json.RawMessage) bool {
+	return len(raw) > 0 && string(raw) != "null"
+}
+
 // SolveRequest submits one problem. Exactly one of Instance and ILP must be
-// set: Instance carries a hypergraph vertex cover / set cover instance in
-// the library's JSON codec shape, ILP a covering integer program.
+// set (a null Instance counts as unset): Instance carries a hypergraph
+// vertex cover / set cover instance in the library's JSON codec shape, ILP
+// a covering integer program.
 type SolveRequest struct {
 	Instance json.RawMessage `json:"instance,omitempty"`
 	ILP      *ILPSpec        `json:"ilp,omitempty"`

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"encoding/binary"
 	"sync"
 
 	"distcover/server/api"
@@ -16,9 +17,14 @@ type resultCache struct {
 	entries  map[string]*list.Element
 }
 
+// cacheEntry holds one result. Every cold solve adds an entry, so the
+// cover, the one field that grows with the instance, is kept packed: a
+// byte or two per id instead of eight.
 type cacheEntry struct {
 	key    string
-	result *api.SolveResult
+	result *api.SolveResult // Cover is nil; see cover
+	cover  []byte           // result's Cover as varint deltas between successive ids
+	size   int              // len of result's Cover
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -29,19 +35,50 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// cloneResult deep-copies a result. A shallow struct copy is not enough:
-// Cover, X and the Congest pointer would still alias the original, so a
-// caller mutating a returned result (or the result it handed to put) would
-// corrupt the cached entry for every future hit.
+// cloneResult deep-copies a result except its Cover, which the caller
+// sets. A shallow struct copy is not enough: X and the Congest pointer
+// would still alias the original, so a caller mutating a returned result
+// (or the result it handed to put) would corrupt the cached entry for
+// every future hit.
 func cloneResult(res *api.SolveResult) *api.SolveResult {
 	cp := *res
-	cp.Cover = append([]int(nil), res.Cover...)
+	cp.Cover = nil
 	cp.X = append([]int64(nil), res.X...)
 	if res.Congest != nil {
 		congest := *res.Congest
 		cp.Congest = &congest
 	}
 	return &cp
+}
+
+// packCover encodes a cover as signed varint deltas between successive
+// ids, so a step down in a cover that is not ascending stays as short as
+// a step up. Sorted covers mostly step by less than 64, one byte each,
+// which is the capacity reserved.
+func packCover(cover []int) []byte {
+	buf := make([]byte, 0, len(cover))
+	prev := 0
+	for _, v := range cover {
+		buf = binary.AppendVarint(buf, int64(v-prev))
+		prev = v
+	}
+	return buf
+}
+
+// unpackCover expands size ids packed by packCover into a fresh slice.
+func unpackCover(buf []byte, size int) []int {
+	if size == 0 {
+		return nil
+	}
+	cover := make([]int, size)
+	prev := 0
+	for i := range cover {
+		d, n := binary.Varint(buf)
+		buf = buf[n:]
+		prev += int(d)
+		cover[i] = prev
+	}
+	return cover
 }
 
 // get returns a deep copy of the cached result with Cached set, or nil.
@@ -56,7 +93,9 @@ func (c *resultCache) get(key string) *api.SolveResult {
 		return nil
 	}
 	c.order.MoveToFront(el)
-	res := cloneResult(el.Value.(*cacheEntry).result)
+	e := el.Value.(*cacheEntry)
+	res := cloneResult(e.result)
+	res.Cover = unpackCover(e.cover, e.size)
 	res.Cached = true
 	res.ElapsedMS = 0
 	return res
@@ -69,15 +108,15 @@ func (c *resultCache) put(key string, res *api.SolveResult) {
 	if c.capacity <= 0 || res == nil {
 		return
 	}
-	stored := cloneResult(res)
+	e := &cacheEntry{key: key, result: cloneResult(res), cover: packCover(res.Cover), size: len(res.Cover)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).result = stored
+		el.Value = e
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, result: stored})
+	c.entries[key] = c.order.PushFront(e)
 	for c.order.Len() > c.capacity {
 		last := c.order.Back()
 		c.order.Remove(last)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -99,6 +100,31 @@ func TestCacheDeepCopiesNestedState(t *testing.T) {
 	wg.Wait()
 	if final := c.get("k"); final.Cover[0] != 1 || final.Congest.Rounds != 7 {
 		t.Fatalf("concurrent mutations leaked into the cache: %+v", final)
+	}
+}
+
+// TestCacheCoverRoundTrip checks that a cover packed into the cache comes
+// back as it went in, whatever its order, and that an ILP result's X is
+// stored untouched beside it.
+func TestCacheCoverRoundTrip(t *testing.T) {
+	c := newResultCache(8)
+	covers := map[string][]int{
+		"ascending": {0, 1, 2, 63, 64, 65, 8191, 8192, 1 << 40},
+		"unsorted":  {9, 3, 70000, 0, 5, 5, 1 << 33, 2},
+		"empty":     {},
+		"nil":       nil,
+	}
+	for name, cover := range covers {
+		c.put(name, &api.SolveResult{Cover: cover, Weight: 4, InstanceHash: name})
+		got := c.get(name)
+		if !slices.Equal(got.Cover, cover) || got.Weight != 4 || got.InstanceHash != name {
+			t.Errorf("%s: got cover %v weight %d hash %q, want %v 4 %q", name, got.Cover, got.Weight, got.InstanceHash, cover, name)
+		}
+	}
+	ilp := &api.SolveResult{X: []int64{0, 3, 1}, Value: 7}
+	c.put("ilp", ilp)
+	if got := c.get("ilp"); got.Cover != nil || !slices.Equal(got.X, ilp.X) || got.Value != 7 {
+		t.Fatalf("ilp: got cover %v x %v value %d, want no cover, x %v value 7", got.Cover, got.X, got.Value, ilp.X)
 	}
 }
 

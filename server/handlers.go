@@ -58,10 +58,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if s.ringst != nil && s.ringSolveRoute(w, r, &req) {
+	p, err := decodeProblem(&req)
+	if err == nil && s.ringst != nil && s.ringSolveRoute(w, r, &req, p.hash) {
 		return
 	}
-	j, err := s.buildJob(req)
+	j, err := s.buildJob(&req, p, err)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -132,8 +133,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	items := make([]api.BatchItem, len(req.Requests))
 	jobs := make([]*job, len(req.Requests))
-	for i, sub := range req.Requests {
-		j, err := s.buildJob(sub)
+	for i := range req.Requests {
+		sub := &req.Requests[i]
+		p, err := decodeProblem(sub)
+		j, err := s.buildJob(sub, p, err)
 		if err != nil {
 			items[i] = api.BatchItem{Error: err.Error()}
 			continue
@@ -176,7 +179,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if len(req.Instance) == 0 {
+	if !api.Present(req.Instance) {
 		writeError(w, http.StatusBadRequest, "request must set instance")
 		return
 	}

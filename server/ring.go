@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"distcover"
 	"distcover/internal/durable"
 	"distcover/internal/ring"
 	"distcover/server/api"
@@ -194,39 +193,18 @@ func (s *Server) ringSessionID() string {
 	}
 }
 
-// solveKey computes the ring routing key of a solve request: the
-// instance's canonical content hash (same identity the result cache
-// uses). "" means malformed — let the local handler produce the error.
-func solveKey(req api.SolveRequest) string {
-	switch {
-	case len(req.Instance) > 0 && req.ILP != nil:
-		return ""
-	case len(req.Instance) > 0:
-		inst, err := distcover.ReadInstance(bytes.NewReader(req.Instance))
-		if err != nil {
-			return ""
-		}
-		return inst.Hash()
-	case req.ILP != nil:
-		return api.KeyILP(req.ILP)
-	}
-	return ""
-}
-
-// ringSolveRoute forwards a misrouted solve to its owner. Returns true if
-// the response was written (forwarded). Async solves are always served
-// locally — their job ids are polled on the accepting member — and so are
-// hop-marked requests (loop guard) and requests this member owns. A
-// forward that fails at the transport level marks the owner down and
-// retries the recomputed live owner once; if that fails too the solve
-// runs locally, which any member can do.
-func (s *Server) ringSolveRoute(w http.ResponseWriter, r *http.Request, req *api.SolveRequest) bool {
+// ringSolveRoute forwards a misrouted solve to the owner of key, the
+// content hash of its decoded problem. Returns true if the response was
+// written (forwarded). Malformed requests never get here: any member
+// answers them. Async solves are always served locally — their job ids
+// are polled on the accepting member — and so are hop-marked requests
+// (loop guard) and requests this member owns. A forward that fails at the
+// transport level marks the owner down and retries the recomputed live
+// owner once; if that fails too the solve runs locally, which any member
+// can do.
+func (s *Server) ringSolveRoute(w http.ResponseWriter, r *http.Request, req *api.SolveRequest, key string) bool {
 	st := s.ringst
 	if st == nil || req.Async || ringHopped(r) {
-		return false
-	}
-	key := solveKey(*req)
-	if key == "" {
 		return false
 	}
 	for attempt := 0; attempt < 2; attempt++ {

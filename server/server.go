@@ -250,8 +250,48 @@ func (s *Server) Close() {
 // Workers returns the configured worker pool size.
 func (s *Server) Workers() int { return s.cfg.Workers }
 
-// buildJob validates a SolveRequest and turns it into a queueable job.
-func (s *Server) buildJob(req api.SolveRequest) (*job, error) {
+// problem is a decoded solve body: exactly one of inst and ilp, and its
+// content hash, which is both the ring key and the result-cache identity.
+type problem struct {
+	inst *distcover.Instance
+	ilp  *distcover.ILP
+	hash string
+}
+
+// decodeProblem decodes and validates the instance or ILP of a solve
+// request and hashes it. It runs once per request: the ring routes by the
+// hash, and the job is built from the same decoded value.
+func decodeProblem(req *api.SolveRequest) (problem, error) {
+	hasInstance := api.Present(req.Instance)
+	switch {
+	case hasInstance && req.ILP != nil:
+		return problem{}, fmt.Errorf("request sets both instance and ilp")
+	case hasInstance:
+		inst, err := distcover.ReadInstance(bytes.NewReader(req.Instance))
+		if err != nil {
+			return problem{}, err
+		}
+		return problem{inst: inst, hash: inst.Hash()}, nil
+	case req.ILP != nil:
+		ilp := distcover.NewILP(req.ILP.Weights)
+		for i, c := range req.ILP.Constraints {
+			if err := ilp.AddConstraint(c.Vars, c.Coefs, c.Bound); err != nil {
+				return problem{}, fmt.Errorf("constraint %d: %w", i, err)
+			}
+		}
+		if err := ilp.Validate(); err != nil {
+			return problem{}, err
+		}
+		return problem{ilp: ilp, hash: api.KeyILP(req.ILP)}, nil
+	default:
+		return problem{}, fmt.Errorf("request must set instance or ilp")
+	}
+}
+
+// buildJob turns a solve request and decodeProblem's outcome for it into a
+// queueable job. The engine check comes first, so a request that is both
+// unservable here and malformed reports the engine.
+func (s *Server) buildJob(req *api.SolveRequest, p problem, decodeErr error) (*job, error) {
 	// Reject an unservable cluster request up front: it shares the
 	// simulator's cache identity, so deferring the check to the worker
 	// would let a warm cache serve what configuration says must fail. A
@@ -262,31 +302,10 @@ func (s *Server) buildJob(req api.SolveRequest) (*job, error) {
 		req.Options.Partitions <= 0 && s.cfg.ClusterPartitions <= 0 {
 		return nil, fmt.Errorf("coverd: engine %q requires a server started with -peers, or a partition count for the local shared-memory mode", api.EngineCluster)
 	}
-	switch {
-	case len(req.Instance) > 0 && req.ILP != nil:
-		return nil, fmt.Errorf("request sets both instance and ilp")
-	case len(req.Instance) > 0:
-		inst, err := distcover.ReadInstance(bytes.NewReader(req.Instance))
-		if err != nil {
-			return nil, err
-		}
-		hash := inst.Hash()
-		return newJob(inst, nil, req.Options, hash, hash+"|"+req.Options.Fingerprint()), nil
-	case req.ILP != nil:
-		ilp := distcover.NewILP(req.ILP.Weights)
-		for i, c := range req.ILP.Constraints {
-			if err := ilp.AddConstraint(c.Vars, c.Coefs, c.Bound); err != nil {
-				return nil, fmt.Errorf("constraint %d: %w", i, err)
-			}
-		}
-		if err := ilp.Validate(); err != nil {
-			return nil, err
-		}
-		hash := api.KeyILP(req.ILP)
-		return newJob(nil, ilp, req.Options, hash, hash+"|"+req.Options.Fingerprint()), nil
-	default:
-		return nil, fmt.Errorf("request must set instance or ilp")
+	if decodeErr != nil {
+		return nil, decodeErr
 	}
+	return newJob(p.inst, p.ilp, req.Options, p.hash, p.hash+"|"+req.Options.Fingerprint()), nil
 }
 
 // lookupCache serves a request from the cache if allowed, recording

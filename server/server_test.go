@@ -348,6 +348,41 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNullInstanceCountsAsAbsent: an explicit "instance":null is the same
+// as leaving the field out, on every route that takes an instance, while
+// an empty object stays a valid empty instance.
+func TestNullInstanceCountsAsAbsent(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1, QueueDepth: 4})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	const ilp = `"ilp":{"weights":[3,2],"constraints":[{"vars":[0,1],"coefs":[1,1],"bound":1}]}`
+	for _, tc := range []struct {
+		path, body string
+		status     int
+		want       string
+	}{
+		{"/v1/solve", `{"instance":null}`, http.StatusBadRequest, "request must set instance or ilp"},
+		{"/v1/solve", `{"instance":null,` + ilp + `}`, http.StatusOK, `"x":[`},
+		{"/v1/solve/batch", `{"requests":[{"instance":null}]}`, http.StatusOK, "request must set instance or ilp"},
+		{"/v1/sessions", `{"instance":null}`, http.StatusBadRequest, "request must set instance"},
+		{"/v1/solve", `{"instance":{}}`, http.StatusOK, `"instance_hash":"1cf067cd`},
+		{"/v1/sessions", `{"instance":{}}`, http.StatusCreated, `"instance_hash":"1cf067cd`},
+	} {
+		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || !strings.Contains(string(body), tc.want) {
+			t.Errorf("POST %s %s: %d %s, want %d containing %s", tc.path, tc.body, resp.StatusCode, body, tc.status, tc.want)
+		}
+	}
+}
+
 // TestServerConcurrentSolves exercises the worker pool with many parallel
 // sync requests over distinct instances (run with -race).
 func TestServerConcurrentSolves(t *testing.T) {
