@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -31,9 +32,11 @@ import (
 //     the |Δ| new entries are placed individually. The fresh arrays also
 //     guarantee the new graph's incidence shares nothing with the base,
 //     which keeps MemoryBytes honest per graph.
-//   - The canonical edge order behind Hash is maintained by merging the
-//     sorted new suffix into the base order — O(m) merge, no re-sort. The
-//     merged order is always a fresh slice, never shared with the base.
+//   - The canonical edge stream behind Hash (see stream) is maintained by
+//     rebuilding only the chunks the new edges fall into; every other chunk
+//     is shared with g. For C chunks and k new edges that costs
+//     O(k·(log C + chunk size) + C). The first Extend from a graph without
+//     a stream builds g's stream from scratch first.
 func (g *Hypergraph) Extend(addWeights []int64, addEdges [][]VertexID) (*Hypergraph, error) {
 	n := len(g.weights) + len(addWeights)
 	m0 := g.NumEdges()
@@ -43,10 +46,21 @@ func (g *Hypergraph) Extend(addWeights []int64, addEdges [][]VertexID) (*Hypergr
 				ErrNonPositiveWeight, len(g.weights)+i, w)
 		}
 	}
+	// Every new edge is sorted and deduplicated in place, as a cap-limited
+	// window of one shared buffer.
+	total := 0
+	for _, e := range addEdges {
+		total += len(e)
+	}
+	buf := make([]VertexID, 0, total)
 	newEdges := make([][]VertexID, len(addEdges))
 	addVerts := 0
 	for i, e := range addEdges {
-		vs := sortedUnique(e)
+		start := len(buf)
+		buf = append(buf, e...)
+		slices.Sort(buf[start:])
+		buf = buf[:start+len(slices.Compact(buf[start:]))]
+		vs := buf[start:len(buf):len(buf)]
 		if len(vs) == 0 {
 			return nil, fmt.Errorf("%w: edge %d", ErrEmptyEdge, m0+i)
 		}
@@ -87,7 +101,11 @@ func (g *Hypergraph) Extend(addWeights []int64, addEdges [][]VertexID) (*Hypergr
 		h.edgeOff = append(h.edgeOff, len(h.edgeVerts))
 	}
 	h.extendIncidence(g, newEdges)
-	h.canon = mergeCanonicalOrder(h, g.canonicalOrder(), m0)
+	base := g.stream
+	if base == nil {
+		base = g.buildStream()
+	}
+	h.stream = h.extendStream(base, m0)
 	return h, nil
 }
 
@@ -173,45 +191,74 @@ func growCopy[T any](s []T, extra int) []T {
 	return out
 }
 
-// mergeCanonicalOrder computes the canonical (lexicographic) edge order of
-// the extended graph h by merging the base order of edges [0, m0) with the
-// sorted order of the new suffix [m0, m). Each new edge's insertion point
-// is found by binary search and the runs between them are block-copied, so
-// the merge costs O(k·(log k + log m)) comparisons plus one O(m) memmove —
-// the comparator never walks the whole old order. The result is always a fresh
-// slice: sharing the base's order across the extension tree would make the
-// graphs' byte accounting (MemoryBytes) overlap.
-func mergeCanonicalOrder(h *Hypergraph, oldOrder []int, m0 int) []int {
-	newOrder := h.canonicalEdgeOrder(m0, h.NumEdges())
-	if len(newOrder) == 0 {
-		return append([]int(nil), oldOrder...)
+// extendStream returns h's canonical edge stream: base, the stream of the
+// graph h extends, with h's new edges m0.. merged in. A new edge goes into
+// the last chunk whose first edge sorts at or before it (the first chunk if
+// none does), found by binary search on first edges decoded from the
+// bytes. Each touched chunk is rebuilt once by mergeChunk; the others, and
+// the whole list when there are no new edges, are shared with base.
+func (h *Hypergraph) extendStream(base [][]byte, m0 int) [][]byte {
+	order := h.canonicalEdgeOrder(m0, h.NumEdges())
+	if len(order) == 0 {
+		return base
 	}
-	merged := make([]int, 0, h.NumEdges())
-	prev := 0
-	for _, ne := range newOrder {
-		e := h.Edge(EdgeID(ne))
-		// First old position the new edge sorts strictly before; ties keep
-		// old edges first (equal edges hash identically either way), and
-		// newOrder being sorted keeps the positions non-decreasing.
-		pos := prev + sort.Search(len(oldOrder)-prev, func(i int) bool {
-			return edgeLexLess(e, h.Edge(EdgeID(oldOrder[prev+i])))
-		})
-		merged = append(merged, oldOrder[prev:pos]...)
-		merged = append(merged, ne)
-		prev = pos
+	// before reports whether edge e sorts strictly before c's first edge.
+	before := func(e int, c []byte) bool {
+		b, _ := sortsBefore(h.Edge(EdgeID(e)), c)
+		return b
 	}
-	merged = append(merged, oldOrder[prev:]...)
-	return merged
+	stream := make([][]byte, 0, len(base)+1)
+	next := 0 // first base chunk not yet in stream
+	for i := 0; i < len(order); {
+		// order is sorted, so the chunk of order[i] is at or after next.
+		t := next
+		if next < len(base) {
+			t += sort.Search(len(base)-next-1, func(j int) bool { return before(order[i], base[next+1+j]) })
+		}
+		j := i + 1
+		for j < len(order) && (t+1 >= len(base) || before(order[j], base[t+1])) {
+			j++
+		}
+		stream = append(stream, base[next:min(t, len(base))]...)
+		var old []byte // an empty base has no chunk to merge into
+		if t < len(base) {
+			old = base[t]
+		}
+		stream = h.mergeChunk(stream, old, order[i:j])
+		next, i = t+1, j
+	}
+	return append(stream, base[min(next, len(base)):]...)
 }
 
-// edgeLexLess is the canonical edge comparator: lexicographic on the sorted
-// vertex lists, shorter prefixes first. It is the order slices.Compare
-// gives, which sortEdges uses for large buckets.
-func edgeLexLess(a, b []VertexID) bool {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
+// mergeChunk rebuilds old with the new edges ids (in canonical order) merged
+// in, in one fresh allocation of the exact size, and appends it to stream.
+// If it outgrew 2×chunkTarget it is split evenly into ⌊size/chunkTarget⌋
+// or so pieces, none but the last under chunkTarget bytes. Among equal
+// edges the old ones come first; equal edges encode identically, so the
+// bytes are the same either way.
+func (h *Hypergraph) mergeChunk(stream [][]byte, old []byte, ids []int) [][]byte {
+	size := len(old)
+	for _, e := range ids {
+		size += encodedLen(h.Edge(EdgeID(e)))
 	}
-	return len(a) < len(b)
+	data := make([]byte, 0, size)
+	rest := old
+	for _, e := range ids {
+		vs := h.Edge(EdgeID(e))
+		run := 0 // bytes of the old edges that sort at or before vs
+		for run < len(rest) {
+			b, n := sortsBefore(vs, rest[run:])
+			if b {
+				break
+			}
+			run += n
+		}
+		data = appendEdge(append(data, rest[:run]...), vs)
+		rest = rest[run:]
+	}
+	data = append(data, rest...)
+	if len(data) <= 2*chunkTarget {
+		return append(stream, data)
+	}
+	return appendCut(stream, data, len(data)/(len(data)/chunkTarget))
 }

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -165,4 +166,71 @@ func requireSameGraph(t *testing.T, got, want *Hypergraph) {
 	if got.Hash() != want.Hash() {
 		t.Fatal("hash differs")
 	}
+}
+
+// FuzzExtendChain grows a multi-chunk base, built from a fuzzed seed, by a
+// fuzzed sequence of deltas, each extending the graph before it, and
+// requires Hash to equal a from-scratch build's after every step. Deltas
+// mix random edges, copies of existing edges, vertex-only and empty
+// deltas, and bursts of edges led by one vertex, which grow a chunk past
+// its split size.
+func FuzzExtendChain(f *testing.F) {
+	f.Add(int64(1), []byte{0, 3, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(int64(2), []byte{4, 9, 7, 5, 2, 0, 9, 200, 1, 3})
+	f.Add(int64(3), []byte{6, 1, 2, 3, 6, 1, 2, 200, 9, 0, 10})
+	f.Add(int64(4), []byte{11, 1})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 200 + rng.Intn(800)
+		o := &oracle{}
+		o.extend(randomWeights(rng, n), randomEdges(rng, 0, n, 1000+rng.Intn(2000), 4))
+		g := MustNew(o.weights, o.edges)
+		next := func() int { // the next byte of ops; 0 once they run out
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		for step := 0; step < 12 && len(ops) > 0; step++ {
+			op := next()
+			addW := make([]int64, op%3)
+			for i := range addW {
+				addW[i] = 1 + int64(next())
+			}
+			nv := len(o.weights) + len(addW)
+			vertex := func() int { return (next()<<8 | next()) % nv }
+			var addE [][]VertexID
+			switch op / 3 % 4 {
+			case 0: // random edges
+				for k := next() % 16; k > 0; k-- {
+					e := make([]VertexID, 1+next()%5)
+					for i := range e {
+						e[i] = VertexID(vertex())
+					}
+					addE = append(addE, e)
+				}
+			case 1: // copies of existing edges
+				for k := next() % 16; k > 0; k-- {
+					addE = append(addE, slices.Clone(o.edges[(next()<<8|next())%len(o.edges)]))
+				}
+			case 2: // a burst of edges led by one vertex
+				v := vertex()
+				for k := 900 + next(); k > 0; k-- {
+					addE = append(addE, []VertexID{VertexID(v), VertexID(v + k%(nv-v))})
+				}
+			}
+			h, err := g.Extend(addW, addE)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			o.extend(addW, addE)
+			requireStream(t, "fuzz", h)
+			if got, want := h.Hash(), o.rebuildHash(); got != want {
+				t.Fatalf("step %d: hash %s, rebuild %s", step, got, want)
+			}
+			g = h
+		}
+	})
 }

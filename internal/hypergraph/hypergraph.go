@@ -34,10 +34,23 @@
 // Every other input falls back to the encoding/json decoder, which decides
 // the outcome and words the error; a fuzz target holds the two to the same
 // answers.
+//
+// # Canonical hash
+//
+// Hash digests a canonical encoding of the instance: the weights, then the
+// edges in lexicographic order, each as its size and its vertices in
+// uvarints. A graph built by Extend keeps the edge part of that encoding,
+// its canonical edge stream, as a list of immutable chunks of about 4 KB.
+// Extend rebuilds only the chunks a delta's edges fall into and shares
+// every other chunk with its base, so hashing an extended graph is one
+// SHA-256 pass over bytes that already exist. Decoded and built graphs
+// carry no stream: they encode their edges on the fly when hashed and
+// retain nothing.
 package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -62,9 +75,15 @@ type Hypergraph struct {
 	incOff   []int
 	incEdges []EdgeID
 
-	rank      int   // max |edges[e]|, 0 if no edges
-	maxDegree int   // max |incidence[v]|, 0 if no edges
-	canon     []int // cached canonical edge order (see Hash); nil until Extend computes it
+	rank      int // max |edges[e]|, 0 if no edges
+	maxDegree int // max |incidence[v]|, 0 if no edges
+
+	// stream is the canonical edge encoding Hash digests, nil unless
+	// Extend built this graph: the edges' encodings in canonical order,
+	// cut into chunks of about chunkTarget bytes, never inside an edge.
+	// Each chunk is cap-limited and never written after it is built, so
+	// graphs along an extension tree share chunks freely.
+	stream [][]byte
 	// extended guards the spare capacity behind weights/edgeOff/edgeVerts:
 	// the first Extend from this graph claims it with a CAS and may append
 	// in place (the base graph only ever reads indices below its lengths);
@@ -157,16 +176,22 @@ func (g *Hypergraph) LocalMaxDegree(e EdgeID) int {
 	return d
 }
 
-// MemoryBytes estimates the heap footprint of the instance from its CSR
-// array lengths (8 bytes per id, offset and weight). It deliberately counts
-// lengths, not capacities: along a claimed extension chain spare capacity is
-// shared between graphs, and charging it to every graph would double-count.
-// The coverd session registry uses this estimate for byte-budgeted
-// eviction.
+// MemoryBytes estimates the heap footprint of the instance from its array
+// lengths: 8 bytes per id, offset and weight, plus the canonical edge
+// stream of an extended graph (its chunk bytes and 24 bytes per entry of
+// the chunk list). It deliberately counts lengths, not capacities: along a
+// claimed extension chain spare capacity is shared between graphs, and
+// charging it to every graph would double-count. Chunks shared with other
+// graphs of an extension tree are counted in full by each of them. The
+// coverd session registry uses this estimate for byte-budgeted eviction.
 func (g *Hypergraph) MemoryBytes() int64 {
 	words := len(g.weights) + len(g.edgeOff) + len(g.edgeVerts) +
-		len(g.incOff) + len(g.incEdges) + len(g.canon)
-	return int64(8 * words)
+		len(g.incOff) + len(g.incEdges) + 3*len(g.stream)
+	bytes := 8 * words
+	for _, c := range g.stream {
+		bytes += len(c)
+	}
+	return int64(bytes)
 }
 
 // MinWeight returns min_v w(v), or 0 if there are no vertices.
@@ -251,8 +276,10 @@ func (g *Hypergraph) IsCover(cover []VertexID) bool {
 	return true
 }
 
-// Clone returns a deep copy of g. The copy shares no storage with g, so it
-// is unaffected by later extensions of g (and vice versa).
+// Clone returns a deep copy of g. The copy shares no storage with g, not
+// even the chunks of its canonical edge stream, so it is unaffected by
+// later extensions of g (and vice versa) and MemoryBytes charges it in
+// full.
 func (g *Hypergraph) Clone() *Hypergraph {
 	h := &Hypergraph{
 		weights:   append([]int64(nil), g.weights...),
@@ -262,7 +289,12 @@ func (g *Hypergraph) Clone() *Hypergraph {
 		incEdges:  append([]EdgeID(nil), g.incEdges...),
 		rank:      g.rank,
 		maxDegree: g.maxDegree,
-		canon:     append([]int(nil), g.canon...),
+	}
+	if g.stream != nil {
+		h.stream = make([][]byte, len(g.stream))
+		for i, c := range g.stream {
+			h.stream[i] = slices.Clip(slices.Clone(c))
+		}
 	}
 	return h
 }

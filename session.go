@@ -144,8 +144,8 @@ func NewSession(inst *Instance, opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// Update applies one delta batch: the instance is extended (with the
-// canonical content hash maintained incrementally), new edges already
+// Update applies one delta batch: the instance is extended (with its
+// canonical edge encoding maintained incrementally), new edges already
 // stabbed by the cover are absorbed for free, and the rest are solved as a
 // warm-started residual instance whose result is merged into the session
 // state. The cover, dual value and certificate only ever grow.
@@ -333,9 +333,19 @@ func (s *Session) solutionLocked() *Solution {
 		MaxLevel:       s.maxLevel,
 		LevelCap:       core.ZLevels(s.g.Rank(), s.epsilonOrDefault()),
 	}
-	for v, in := range s.inCover {
+	// Count, then fill: the cover is built with one allocation.
+	size := 0
+	for _, in := range s.inCover {
 		if in {
-			sol.Cover = append(sol.Cover, v)
+			size++
+		}
+	}
+	if size > 0 {
+		sol.Cover = make([]int, 0, size)
+		for v, in := range s.inCover {
+			if in {
+				sol.Cover = append(sol.Cover, v)
+			}
 		}
 	}
 	sol.RatioBound = core.RatioBound(s.coverWeight, s.dualValue)
@@ -374,9 +384,10 @@ func (s *Session) Instance() *Instance {
 	return &Instance{g: s.g}
 }
 
-// Hash returns the canonical content hash of the current instance. It is
-// maintained incrementally across updates and always equals the hash a
-// from-scratch build of the same instance would produce.
+// Hash returns the canonical content hash of the current instance. It
+// always equals the hash a from-scratch build of the same instance would
+// produce; each update keeps the hashed encoding up to date, so computing
+// it is one SHA-256 pass.
 func (s *Session) Hash() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
