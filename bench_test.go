@@ -61,7 +61,7 @@ func BenchmarkSolveScale(b *testing.B) {
 		b.Run("n="+itoa(n), func(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.DefaultOptions(), nil)
+				res, err := core.Run(g, core.DefaultOptions(), nil, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -153,7 +153,7 @@ func BenchmarkExactArithmetic(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.Exact = exact
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(g, opts, nil); err != nil {
+				if _, err := core.Run(g, opts, nil, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

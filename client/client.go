@@ -6,10 +6,11 @@
 //	c := client.New("http://localhost:8080")
 //	res, err := c.Solve(ctx, inst, api.SolveOptions{Epsilon: 0.5})
 //
-// Engine selection rides in the options: api.EngineFlat picks the
-// chunk-parallel flat solver (the low-latency production path,
-// bit-identical to the default simulator), the api.EngineCongest* names
-// run the real message protocol and report communication metrics.
+// Engine selection rides in the options: the default api.EngineSim runs
+// the solver on one worker, api.EngineFlat on one worker per server CPU
+// (or SolveOptions.Parallelism workers) with bit-identical results, and
+// the api.EngineCongest* names run the real message protocol and report
+// communication metrics.
 //
 //	res, err := c.Solve(ctx, inst, api.SolveOptions{Engine: api.EngineFlat})
 //

@@ -23,10 +23,10 @@ var (
 // ClusterSolve runs Algorithm MWHVC partitioned across the given coverd
 // peer processes: the instance's CSR vertex range is split into contiguous
 // partitions (one per peer unless WithClusterPartitions says otherwise),
-// each peer executes the lockstep solver over its range, and only
+// each peer executes the frontier runner over its range, and only
 // boundary-vertex levels and join/raise flags cross the wire between
-// iterations. The result is bit-identical to Solve/WithFlatEngine on the
-// undivided instance — the cluster equivalence property test enforces it —
+// iterations. The result is bit-identical to Solve on the undivided
+// instance — the cluster equivalence property test enforces it —
 // so clustering changes where the work runs, never what it returns.
 //
 // Peers are coverd processes started with -peer-listen (or any
@@ -39,8 +39,8 @@ var (
 // in-process: the partitions become co-located goroutines synchronizing
 // through a shared-memory exchanger instead of TCP — the fast path for
 // multi-partition work that happens to live on one machine. With neither,
-// ClusterSolve returns ErrNoPeers. The flat and CONGEST engine options are
-// ignored.
+// ClusterSolve returns ErrNoPeers. WithSolverParallelism and the CONGEST
+// engine options are ignored.
 func ClusterSolve(in *Instance, peers []string, opts ...Option) (*Solution, error) {
 	if in == nil {
 		return nil, ErrNilInstance

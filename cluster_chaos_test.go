@@ -243,7 +243,7 @@ func TestClusterChaosSIGKILLMultiplexed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("solve after replacement: %v", err)
 		}
-		want, err := Solve(inst, WithFlatEngine())
+		want, err := Solve(inst, WithSolverParallelism(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestClusterChaosSIGKILLMidUpdate(t *testing.T) {
 		killer, _ := startHelperPeer(t, 2, 6)
 
 		inst := chaosInstance(t)
-		ref, err := NewSession(inst, WithFlatEngine())
+		ref, err := NewSession(inst, WithSolverParallelism(0))
 		if err != nil {
 			t.Fatal(err)
 		}

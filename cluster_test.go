@@ -43,7 +43,7 @@ func TestClusterEquivalenceProperty(t *testing.T) {
 		g := randomEquivalenceInstance(t, rng, i)
 		inst := &Instance{g: g}
 		eps := epss[i%len(epss)]
-		want, err := Solve(inst, WithEpsilon(eps), WithFlatEngine(), WithSolverParallelism(2))
+		want, err := Solve(inst, WithEpsilon(eps), WithSolverParallelism(2))
 		if err != nil {
 			t.Fatalf("instance %d: flat: %v", i, err)
 		}
@@ -73,7 +73,7 @@ func TestClusterSessionEquivalenceProperty(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		g := randomEquivalenceInstance(t, rng, i)
 		inst := &Instance{g: g}
-		ref, err := NewSession(inst, WithFlatEngine())
+		ref, err := NewSession(inst, WithSolverParallelism(0))
 		if err != nil {
 			t.Fatalf("instance %d: flat session: %v", i, err)
 		}

@@ -12,16 +12,16 @@
 //	         [-tcp] [-json] [-trace] [-compare] [-exact-opt]
 //	covercli -gen kind -n N [-m M] [-f F] [-maxw W] [-seed S]
 //
-// -flat runs the chunk-parallel flat solver (one worker per core, or -par
-// workers): the fastest way to just get the cover, with results
-// bit-identical to the default simulator. With -congest the real Appendix B
-// message protocol runs on a simulated CONGEST network and the
-// communication metrics are reported; the nodes step sequentially unless
-// -sharded steps node shards on a fixed worker pool (the fast
-// message-passing path for large instances) or -tcp moves the messages over
-// real loopback sockets. -gen emits a synthetic instance as JSON instead of
-// solving. -compare runs the paper's baselines next to the algorithm;
-// -exact-opt audits small instances against a branch-and-bound optimum.
+// By default the algorithm runs directly on one worker; -flat runs it on
+// one worker per core, or -par workers, with bit-identical results. With
+// -congest the real Appendix B message protocol runs on a simulated
+// CONGEST network and the communication metrics are reported; the nodes
+// step sequentially unless -sharded steps node shards on a fixed worker
+// pool (the fast message-passing path for large instances) or -tcp moves
+// the messages over real loopback sockets. -gen emits a synthetic instance
+// as JSON instead of solving. -compare runs the paper's baselines next to
+// the algorithm; -exact-opt audits small instances against a
+// branch-and-bound optimum.
 package main
 
 import (
@@ -51,7 +51,7 @@ func run() error {
 		localAlpha  = flag.Bool("local-alpha", false, "per-edge α from Δ(e)")
 		alpha       = flag.Float64("alpha", 0, "fixed α ≥ 2 (0 = Theorem 9 choice)")
 		exact       = flag.Bool("exact", false, "exact big.Rat arithmetic")
-		flat        = flag.Bool("flat", false, "chunk-parallel flat solver (bit-identical, one worker per core)")
+		flat        = flag.Bool("flat", false, "run the solver on one worker per core (bit-identical)")
 		par         = flag.Int("par", 0, "with -flat: worker count (0 = GOMAXPROCS)")
 		congestRun  = flag.Bool("congest", false, "run the real CONGEST message protocol")
 		sharded     = flag.Bool("sharded", false, "with -congest: fixed worker pool over node shards (large instances)")
@@ -125,7 +125,7 @@ func run() error {
 		return fmt.Errorf("-par requires -flat")
 	}
 	if *flat {
-		opts = append(opts, distcover.WithFlatEngine(), distcover.WithSolverParallelism(*par))
+		opts = append(opts, distcover.WithSolverParallelism(*par))
 	}
 	if *sharded {
 		opts = append(opts, distcover.WithShardedEngine(), distcover.WithShardCount(*shards))

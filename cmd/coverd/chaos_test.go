@@ -66,7 +66,7 @@ func TestCrashRecovery(t *testing.T) {
 
 	// The uninterrupted reference: a library session that sees the whole
 	// stream with no restart in between.
-	ref, err := distcover.NewSession(inst, distcover.WithEpsilon(0.5), distcover.WithFlatEngine())
+	ref, err := distcover.NewSession(inst, distcover.WithEpsilon(0.5), distcover.WithSolverParallelism(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func TestRingFailoverE2E(t *testing.T) {
 		}
 		n += 2
 	}
-	ref, err := distcover.NewSession(sessInst, distcover.WithEpsilon(0.5), distcover.WithFlatEngine())
+	ref, err := distcover.NewSession(sessInst, distcover.WithEpsilon(0.5), distcover.WithSolverParallelism(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func Compare(in *Instance, opts ...Option) ([]CompareResult, error) {
 	}
 	var out []CompareResult
 
-	res, err := core.Run(g, cfg, nil)
+	res, err := core.Run(g, cfg, nil, 1)
 	if err != nil {
 		return nil, fmt.Errorf("distcover: %w", err)
 	}

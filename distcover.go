@@ -21,10 +21,11 @@
 //	if err != nil { ... }
 //	fmt.Println(sol.Cover, sol.Weight, sol.RatioBound)
 //
-// Solve runs a fast in-process simulation. SolveCongest executes the real
-// message protocol on a simulated CONGEST network (node shards on a worker
-// pool if you pick the sharded engine) and reports rounds, message counts
-// and message sizes.
+// Solve runs the algorithm directly over the instance's arrays, on one
+// worker unless WithSolverParallelism asks for more. SolveCongest executes
+// the real message protocol on a simulated CONGEST network (node shards on
+// a worker pool if you pick the sharded engine) and reports rounds,
+// message counts and message sizes.
 //
 // The returned Solution always carries a per-run certificate: a feasible
 // dual packing whose value lower-bounds the optimum, so
@@ -214,10 +215,10 @@ var ErrNilInstance = errors.New("distcover: nil instance")
 // first the options select, in this order: cluster peers
 // (WithClusterPeers, as ClusterSolve), in-process partitions
 // (WithClusterPartitions: co-located partitions over a shared-memory
-// exchanger), the chunk-parallel flat runner (WithFlatEngine: wall-clock
-// scaling with cores), and by default the fast lockstep simulator. Results
-// are bit-identical on every engine. Solve ignores the CONGEST engine
-// options; SolveCongest runs the message protocol.
+// exchanger), and by default the frontier runner over the whole instance
+// with WithSolverParallelism workers (one unless set). Results are
+// bit-identical on every engine and worker count. Solve ignores the
+// CONGEST engine options; SolveCongest runs the message protocol.
 func Solve(in *Instance, opts ...Option) (*Solution, error) {
 	if in == nil {
 		return nil, ErrNilInstance
@@ -236,8 +237,8 @@ func Solve(in *Instance, opts ...Option) (*Solution, error) {
 // metrics. The default engine steps the nodes sequentially; with
 // WithShardedEngine node shards step on a worker pool, and with
 // WithTCPEngine the messages cross loopback sockets. Results and metrics
-// are identical on every engine. SolveCongest ignores WithFlatEngine and
-// the cluster options, which select engines that run no messages.
+// are identical on every engine. SolveCongest ignores WithSolverParallelism
+// and the cluster options, which select engines that run no messages.
 func SolveCongest(in *Instance, opts ...Option) (*Solution, *CongestStats, error) {
 	if in == nil {
 		return nil, nil, ErrNilInstance
@@ -253,14 +254,15 @@ func SolveCongest(in *Instance, opts ...Option) (*Solution, *CongestStats, error
 }
 
 // run executes one solve of g on the first engine cfg selects, in this
-// order: cluster peers, in-process partitions, a CONGEST engine, the flat
-// runner, the lockstep simulator. A non-nil carry warm-starts a session's
-// residual solve from the dual loads its vertices already carry. size is
-// the n+m of the whole instance g belongs to (0 when g is the whole
-// instance); it sizes the CONGEST engines' O(log n) bit budget, because
-// messages carry weights of the whole instance. The CongestStats are nil
-// unless a CONGEST engine ran. Errors are returned unwrapped: each entry
-// point adds its own prefix.
+// order: cluster peers, in-process partitions, a CONGEST engine, the
+// frontier runner with cfg.parallelism workers. Telemetry labels the last
+// "sim" at one worker and "flat" otherwise. A non-nil carry warm-starts a
+// session's residual solve from the dual loads its vertices already carry.
+// size is the n+m of the whole instance g belongs to (0 when g is the
+// whole instance); it sizes the CONGEST engines' O(log n) bit budget,
+// because messages carry weights of the whole instance. The CongestStats
+// are nil unless a CONGEST engine ran. Errors are returned unwrapped: each
+// entry point adds its own prefix.
 func run(g *hypergraph.Hypergraph, cfg solveConfig, carry []float64, size int) (*core.Result, *CongestStats, error) {
 	engine := "sim"
 	switch {
@@ -270,7 +272,7 @@ func run(g *hypergraph.Hypergraph, cfg solveConfig, carry []float64, size int) (
 		engine = "cluster-local"
 	case cfg.congest:
 		engine = cfg.congestEngineName()
-	case cfg.flat:
+	case cfg.parallelism != 1:
 		engine = "flat"
 	}
 	clustered := engine == "cluster" || engine == "cluster-local"
@@ -304,11 +306,8 @@ func run(g *hypergraph.Hypergraph, cfg solveConfig, carry []float64, size int) (
 	case "cluster-local":
 		res, err := core.RunPartitioned(context.Background(), g, cfg.core, carry, cfg.clusterParts)
 		return res, nil, err
-	case "flat":
-		res, err := core.RunFlat(g, cfg.core, carry, cfg.parallelism)
-		return res, nil, err
-	case "sim":
-		res, err := core.Run(g, cfg.core, carry)
+	case "sim", "flat":
+		res, err := core.Run(g, cfg.core, carry, cfg.parallelism)
 		return res, nil, err
 	}
 	// What remains is a CONGEST engine running the message protocol.

@@ -124,12 +124,12 @@ func TestEngineEquivalenceOnCoverProtocol(t *testing.T) {
 		for v := range carry {
 			carry[v] = rng.Float64() * 0.9 * float64(g.Weight(hypergraph.VertexID(v)))
 		}
-		refResidual, err := core.Run(g, flatOpts, carry)
+		refResidual, _, err := core.RunCongest(g, opts, carry, congest.SequentialEngine{}, congest.Options{Validate: true})
 		if err != nil {
 			t.Fatalf("instance %d: sequential residual: %v", i, err)
 		}
 		for workers := 1; workers <= 8; workers++ {
-			flat, err := core.RunFlat(g, flatOpts, nil, workers)
+			flat, err := core.Run(g, flatOpts, nil, workers)
 			if err != nil {
 				t.Fatalf("instance %d: flat/%d: %v", i, workers, err)
 			}
@@ -138,7 +138,7 @@ func TestEngineEquivalenceOnCoverProtocol(t *testing.T) {
 				flat.Iterations != refRes.Iterations {
 				t.Errorf("instance %d: flat/%d diverges from the protocol engines", i, workers)
 			}
-			warm, err := core.RunFlat(g, flatOpts, carry, workers)
+			warm, err := core.Run(g, flatOpts, carry, workers)
 			if err != nil {
 				t.Fatalf("instance %d: flat residual/%d: %v", i, workers, err)
 			}
@@ -214,7 +214,7 @@ func TestSessionReplayAcrossEngines(t *testing.T) {
 		sessions := map[string]*Session{}
 		for name, opts := range map[string][]Option{
 			"sim":        {},
-			"flat":       {WithFlatEngine(), WithSolverParallelism(3)},
+			"flat":       {WithSolverParallelism(3)},
 			"sequential": {WithSequentialEngine()},
 			"sharded":    {WithShardedEngine(), WithShardCount(3)},
 		} {
@@ -301,7 +301,7 @@ func TestSessionPooledArenaNoStateBleed(t *testing.T) {
 
 	replay := func(dirtyPool bool) []*Solution {
 		t.Helper()
-		s, err := NewSession(&Instance{g: base}, WithFlatEngine(), WithSolverParallelism(4))
+		s, err := NewSession(&Instance{g: base}, WithSolverParallelism(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestSessionPooledArenaNoStateBleed(t *testing.T) {
 						wg.Add(1)
 						go func(ci *Instance, w int) {
 							defer wg.Done()
-							if _, err := Solve(ci, WithFlatEngine(), WithSolverParallelism(w)); err != nil {
+							if _, err := Solve(ci, WithSolverParallelism(w)); err != nil {
 								panic(err)
 							}
 						}(ci, w)
@@ -375,7 +375,7 @@ func TestEngineEquivalencePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatSol, err := Solve(inst, WithEpsilon(0.5), WithFlatEngine(), WithSolverParallelism(4))
+	flatSol, err := Solve(inst, WithEpsilon(0.5), WithSolverParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Multi-process cover cluster walkthrough: an instance is partitioned into
 // contiguous CSR vertex ranges across three cluster peers, each peer runs
-// the lockstep solver over its range, and only boundary-vertex levels plus
+// the solver over its range, and only boundary-vertex levels plus
 // join/raise flags cross the wire between iterations — yet the result is
-// bit-identical to the single-process flat engine, certificate and all.
+// bit-identical to a single-process Solve, certificate and all.
 // A session then streams delta batches: every update ships only the
 // residual instance (the session-delta JSON shape) to the peers, so update
 // traffic scales with the batch, not the accumulated instance.
@@ -54,12 +54,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Solve across the cluster and against the single-process flat engine.
+	// Solve across the cluster and in one process on every core.
 	clusterSol, err := distcover.ClusterSolve(inst, addrs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	flatSol, err := distcover.Solve(inst, distcover.WithFlatEngine())
+	flatSol, err := distcover.Solve(inst, distcover.WithSolverParallelism(0))
 	if err != nil {
 		log.Fatal(err)
 	}

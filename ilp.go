@@ -94,8 +94,9 @@ func SolveILP(p *ILP, opts ...Option) (*ILPSolution, error) {
 		return nil, ErrNilInstance
 	}
 	cfg := optConfig(opts)
-	// The reduced instance solves on the lockstep simulator; the span wires
-	// WithTelemetry and WithTracer into its options, as run does for Solve.
+	// The reduced instance solves on the frontier runner at one worker,
+	// which run labels "sim"; the span wires WithTelemetry and WithTracer
+	// into its options, as run does for Solve.
 	stop := cfg.startSpan("sim")
 	res, err := reduction.SolveILP(&p.inner, cfg.core, reduction.Options{PruneDominated: true})
 	stop()

@@ -32,7 +32,7 @@ func runAlgo(key string, g *hypergraph.Hypergraph) (algoRun, error) {
 	}
 	switch key {
 	case "this work (f+ε, ε=1)", "this work (2+ε, ε=1)":
-		res, err := core.Run(g, core.DefaultOptions(), nil)
+		res, err := core.Run(g, core.DefaultOptions(), nil, 1)
 		if err != nil {
 			return algoRun{}, err
 		}
@@ -40,7 +40,7 @@ func runAlgo(key string, g *hypergraph.Hypergraph) (algoRun, error) {
 	case "this work (f+ε, ε=0.1)", "this work (2+ε, ε=0.1)":
 		opts := core.DefaultOptions()
 		opts.Epsilon = 0.1
-		res, err := core.Run(g, opts, nil)
+		res, err := core.Run(g, opts, nil, 1)
 		if err != nil {
 			return algoRun{}, err
 		}
@@ -48,7 +48,7 @@ func runAlgo(key string, g *hypergraph.Hypergraph) (algoRun, error) {
 	case "this work (f-approx)", "this work (2-approx)":
 		opts := core.DefaultOptions()
 		opts.FApprox = true
-		res, err := core.Run(g, opts, nil)
+		res, err := core.Run(g, opts, nil, 1)
 		if err != nil {
 			return algoRun{}, err
 		}

@@ -31,7 +31,7 @@ func RoundsVsDelta(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res9, err := core.Run(g, core.DefaultOptions(), nil)
+		res9, err := core.Run(g, core.DefaultOptions(), nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +41,7 @@ func RoundsVsDelta(cfg Config) ([]Table, error) {
 		optsBig := core.DefaultOptions()
 		optsBig.Alpha = core.AlphaFixed
 		optsBig.FixedAlpha = alphaBig
-		resBig, err := core.Run(g, optsBig, nil)
+		resBig, err := core.Run(g, optsBig, nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func RoundsVsW(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Run(g, core.DefaultOptions(), nil)
+		res, err := core.Run(g, core.DefaultOptions(), nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func ApproxRatio(cfg Config) ([]Table, error) {
 			}
 			opts := core.DefaultOptions()
 			opts.Epsilon = eps
-			res, err := core.Run(g, opts, nil)
+			res, err := core.Run(g, opts, nil, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -147,7 +147,7 @@ func ApproxRatio(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Run(g, core.DefaultOptions(), nil)
+		res, err := core.Run(g, core.DefaultOptions(), nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +183,7 @@ func FApproxRounds(cfg Config) ([]Table, error) {
 	for _, l := range loads {
 		opts := core.DefaultOptions()
 		opts.FApprox = true
-		res, err := core.Run(l.g, opts, nil)
+		res, err := core.Run(l.g, opts, nil, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -120,13 +120,13 @@ func VariantComparison(cfg Config) ([]Table, error) {
 		}
 		optsD := core.DefaultOptions()
 		optsD.CollectTrace = true
-		resD, err := core.Run(g, optsD, nil)
+		resD, err := core.Run(g, optsD, nil, 1)
 		if err != nil {
 			return nil, err
 		}
 		optsS := optsD
 		optsS.Variant = core.VariantSingleLevel
-		resS, err := core.Run(g, optsS, nil)
+		resS, err := core.Run(g, optsS, nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +170,7 @@ func AlphaAblation(cfg Config) ([]Table, error) {
 		opts := core.DefaultOptions()
 		opts.Alpha = core.AlphaFixed
 		opts.FixedAlpha = alpha
-		res, err := core.Run(g, opts, nil)
+		res, err := core.Run(g, opts, nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +246,7 @@ func EpsilonRange(cfg Config) ([]Table, error) {
 	for _, e := range epsilons {
 		opts := core.DefaultOptions()
 		opts.Epsilon = e.eps
-		res, err := core.Run(g, opts, nil)
+		res, err := core.Run(g, opts, nil, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -46,19 +46,19 @@ func LocalAlpha(cfg Config) ([]Table, error) {
 			return nil, err
 		}
 		optsG := core.DefaultOptions()
-		resG, err := core.Run(g, optsG, nil)
+		resG, err := core.Run(g, optsG, nil, 1)
 		if err != nil {
 			return nil, err
 		}
 		optsL := core.DefaultOptions()
 		optsL.Alpha = core.AlphaLocal
-		resL, err := core.Run(g, optsL, nil)
+		resL, err := core.Run(g, optsL, nil, 1)
 		if err != nil {
 			return nil, err
 		}
 		optsSL := optsL
 		optsSL.Variant = core.VariantSingleLevel
-		resSL, err := core.Run(g, optsSL, nil)
+		resSL, err := core.Run(g, optsSL, nil, 1)
 		if err != nil {
 			return nil, err
 		}

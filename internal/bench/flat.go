@@ -16,9 +16,9 @@ import (
 // solve path coverd's engine "flat" serves; the suite pins both its
 // absolute time and its multiple over the sharded engine, the previous
 // fastest committed number. Both solvers must agree on the cover weight:
-// the flat runner is bit-identical to the lockstep simulator (engine
-// equivalence tests), and the simulator to the CONGEST engines, so any
-// weight divergence here is a real bug, not noise.
+// the flat runner is bit-identical to the CONGEST engines (engine
+// equivalence tests), so any weight divergence here is a real bug, not
+// noise.
 func MeasureFlat(cfg Config) ([]Measurement, []Table, error) {
 	mode := pick(cfg, "full", "quick")
 	t := Table{
@@ -41,7 +41,7 @@ func MeasureFlat(cfg Config) ([]Measurement, []Table, error) {
 		)
 		for r := 0; r < reps; r++ {
 			start := time.Now()
-			res, err := core.RunFlat(wl.g, opts, nil, 0)
+			res, err := core.Run(wl.g, opts, nil, 0)
 			d := time.Since(start)
 			if err != nil {
 				return nil, nil, fmt.Errorf("bench: flat on %s: %w", wl.name, err)

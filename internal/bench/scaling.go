@@ -55,7 +55,7 @@ func MeasureScaling(cfg Config) ([]Measurement, []Table, error) {
 			)
 			for r := 0; r < reps; r++ {
 				start := time.Now()
-				got, err := core.RunFlat(wl.g, opts, nil, w)
+				got, err := core.Run(wl.g, opts, nil, w)
 				d := time.Since(start)
 				if err != nil {
 					errW = fmt.Errorf("bench: flat %d workers on %s: %w", w, wl.name, err)

@@ -18,14 +18,14 @@ const flatWorkers = 4
 const clusterLocalParts = 2
 
 // MeasureAllocs counts heap allocations on the hot paths the ROADMAP asks
-// to gate machine-independently: a full lockstep solve, the same solve on
-// the chunk-parallel flat runner and split into clusterLocalParts
-// in-process partitions, a session delta batch, and the instance path of
-// every request: decoding the instance JSON and hashing it. Allocation
-// counts are a property of the code, not the hardware, so the baseline
-// comparator holds them to exact equality (the 0.001 tolerance is
-// float-formatting slack) — the regression gate that raw wall-clock
-// tolerances are too loose to provide.
+// to gate machine-independently: a default solve (the frontier runner on
+// one worker), the same solve on flatWorkers workers and split into
+// clusterLocalParts in-process partitions, a session delta batch, and the
+// instance path of every request: decoding the instance JSON and hashing
+// it. Allocation counts are a property of the code, not the hardware, so
+// the baseline comparator holds them to exact equality (the 0.001
+// tolerance is float-formatting slack) — the regression gate that raw
+// wall-clock tolerances are too loose to provide.
 //
 // The probes use a fixed instance independent of quick/full mode, so the
 // quick CI run re-measures exactly the committed values. The flat probes
@@ -43,7 +43,7 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 		}
 	})
 	flatAllocs := testing.AllocsPerRun(20, func() {
-		if _, err := distcover.Solve(inst, distcover.WithFlatEngine(), distcover.WithSolverParallelism(flatWorkers)); err != nil {
+		if _, err := distcover.Solve(inst, distcover.WithSolverParallelism(flatWorkers)); err != nil {
 			panic(err)
 		}
 	})
@@ -72,7 +72,7 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 		Title:  "Hot-path allocation counts (exact regression gate)",
 		Header: []string{"path", "allocs/op"},
 	}
-	t.AddRow("Solve (lockstep, 2000x4000 f=3)", fmt.Sprintf("%.0f", solveAllocs))
+	t.AddRow("Solve (default, 1 worker, 2000x4000 f=3)", fmt.Sprintf("%.0f", solveAllocs))
 	t.AddRow(fmt.Sprintf("Solve (flat, %d workers)", flatWorkers), fmt.Sprintf("%.0f", flatAllocs))
 	t.AddRow(fmt.Sprintf("Solve (in-process, %d partitions)", clusterLocalParts), fmt.Sprintf("%.0f", clusterLocalAllocs))
 	t.AddRow("Session.Update (100-edge delta)", fmt.Sprintf("%.0f", updateAllocs))
@@ -89,8 +89,8 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 	return ms, []bench.Table{t}, nil
 }
 
-// TraceProbe runs one flat solve of the alloc-gate fixture with a
-// telemetry recorder attached and returns its trace report — the
+// TraceProbe runs one flatWorkers-worker solve of the alloc-gate fixture
+// with a telemetry recorder attached and returns its trace report — the
 // benchharness -trace mode.
 func TraceProbe() (*distcover.TraceReport, error) {
 	inst, _, err := allocProbeFixture()
@@ -98,8 +98,8 @@ func TraceProbe() (*distcover.TraceReport, error) {
 		return nil, err
 	}
 	rec := distcover.NewTraceRecorder("")
-	if _, err := distcover.Solve(inst, distcover.WithFlatEngine(),
-		distcover.WithSolverParallelism(flatWorkers), distcover.WithTelemetry(rec)); err != nil {
+	if _, err := distcover.Solve(inst, distcover.WithSolverParallelism(flatWorkers),
+		distcover.WithTelemetry(rec)); err != nil {
 		return nil, err
 	}
 	return rec.Report(), nil

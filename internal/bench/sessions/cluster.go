@@ -55,7 +55,7 @@ func MeasureCluster(cfg bench.Config) ([]bench.Measurement, []bench.Table, error
 	}
 
 	flatStart := time.Now()
-	want, err := distcover.Solve(inst, distcover.WithFlatEngine())
+	want, err := distcover.Solve(inst, distcover.WithSolverParallelism(0))
 	flatD := time.Since(flatStart)
 	if err != nil {
 		return nil, nil, err
@@ -100,7 +100,7 @@ func MeasureCluster(cfg bench.Config) ([]bench.Measurement, []bench.Table, error
 	if err != nil {
 		return nil, nil, err
 	}
-	flatSess, err := distcover.NewSession(inst, distcover.WithFlatEngine())
+	flatSess, err := distcover.NewSession(inst, distcover.WithSolverParallelism(0))
 	if err != nil {
 		return nil, nil, err
 	}

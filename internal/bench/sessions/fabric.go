@@ -109,7 +109,7 @@ func MeasureFabric(cfg bench.Config) ([]bench.Measurement, []bench.Table, error)
 	}
 	defer closePeers()
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, nil, 2)
+	want, err := core.Run(g, opts, nil, 2)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -180,7 +180,7 @@ func MeasureFabric(cfg bench.Config) ([]bench.Measurement, []bench.Table, error)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	sess, err := distcover.NewSession(inst, distcover.WithFlatEngine())
+	sess, err := distcover.NewSession(inst, distcover.WithSolverParallelism(0))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -89,7 +89,7 @@ func MeasureRelay(cfg bench.Config) ([]bench.Measurement, []bench.Table, error) 
 		return nil, nil, fmt.Errorf("bench: relay workload: %w", err)
 	}
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, nil, 0)
+	want, err := core.Run(g, opts, nil, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,7 +6,7 @@
 // per-iteration boundary exchange — boundary-vertex levels plus join/raise
 // flags, and the global coverage count — until the cover is complete. Each
 // peer executes core.RunPartition, so the merged result is bit-identical to
-// a single-process core.RunFlat on the undivided instance; the cluster
+// a single-process core.Run on the undivided instance; the cluster
 // equivalence tests enforce this at 1..4 partitions.
 //
 // Topology is a star: peers talk only to the coordinator, which detects a

@@ -77,7 +77,7 @@ func TestClusterSolveMatchesFlat(t *testing.T) {
 		g := testInstance(t, rng.Int63(), 40+10*i, 120, 2+i%3)
 		opts := core.DefaultOptions()
 		opts.Epsilon = []float64{1, 0.5}[i%2]
-		want, err := core.RunFlat(g, opts, nil, 2)
+		want, err := core.Run(g, opts, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestClusterSolveResidualMatchesFlat(t *testing.T) {
 		carry[v] = rng.Float64() * 0.9 * float64(g.Weight(hypergraph.VertexID(v)))
 	}
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, carry, 2)
+	want, err := core.Run(g, opts, carry, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

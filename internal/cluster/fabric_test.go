@@ -83,7 +83,7 @@ func TestFabricRepeatSolveShipsHashOnly(t *testing.T) {
 	addrs, peers := startTracedPeers(t, 2, peerTr, 0)
 	g := testInstance(t, 4242, 200, 600, 3)
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, nil, 2)
+	want, err := core.Run(g, opts, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

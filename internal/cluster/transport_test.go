@@ -61,7 +61,7 @@ func startCountingPeer(t *testing.T, mod func(*Peer)) (string, *countingListener
 func TestClusterMultiplexSharesConnection(t *testing.T) {
 	g := testInstance(t, 21, 60, 180, 3)
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, nil, 2)
+	want, err := core.Run(g, opts, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestClusterMuxPeerFailure(t *testing.T) {
 	}
 	// The peer must still serve a healthy solve afterwards.
 	opts := core.DefaultOptions()
-	want, err := core.RunFlat(g, opts, nil, 2)
+	want, err := core.Run(g, opts, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

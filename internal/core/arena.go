@@ -1,21 +1,17 @@
 package core
 
-import (
-	"sync"
+import "sync"
 
-	"distcover/internal/hypergraph"
-)
-
-// This file implements the arena-backed solver state the float64 runners
-// (the sequential lockstep simulator and the frontier runner) allocate
-// from. The ~20 per-vertex and per-edge slices of state plus the frontier
+// This file implements the arena-backed solver state the frontier runner
+// allocates from. The ~20 per-vertex and per-edge slices of state plus the
 // runner's scratch (addE, newly, frontier lists) are carved out of three
-// element-typed slabs held by a floatSolver, so a warm pooled solve
-// performs no per-field allocations and the GC never sees the inner loop.
-// The pool is shared by one-shot solves and Session residual re-solves: a
-// session applying delta batches reuses the same slabs across updates. A
-// partition run (RunPartition) instead takes a fresh floatSolver sized to
-// its range and local edges and drops it with the run.
+// element-typed slabs held by a floatSolver (floatSolver.bind), so a warm
+// pooled solve performs no per-field allocations and the GC never sees
+// the inner loop. The pool is shared by one-shot solves and Session
+// residual re-solves: a session applying delta batches reuses the same
+// slabs across updates. A partition run (RunPartition) instead takes a
+// fresh floatSolver sized to its range and local edges and drops it with
+// the run.
 //
 // Pooled memory is reused, not implicitly zeroed, so every carve either
 // declares that the runner fully initializes the slice before reading it
@@ -93,46 +89,6 @@ type floatSolver struct {
 
 var floatSolverPool = sync.Pool{New: func() any { return new(floatSolver) }}
 
-// initState carves a fresh state for g out of the arena, reserving room
-// for extraF floats, extraI ints and extraB bools the caller carves after
-// it (the frontier runner's per-edge scratch and frontier lists).
-func (s *floatSolver) initState(g *hypergraph.Hypergraph, opts Options, extraF, extraI, extraB int) *state[float64] {
-	n, m := g.NumVertices(), g.NumEdges()
-	s.arena.reset(3*m+5*n+extraF, 5*n+m+extraI, m+4*n+extraB)
-	a := &s.arena
-	num := floatNumeric{}
-	f := g.Rank()
-	s.st = state[float64]{
-		num:  num,
-		g:    g,
-		opts: opts,
-
-		bid:     a.f64(m),
-		delta:   a.f64(m),
-		covered: a.boolsZero(m),
-		alphaE:  a.f64(m),
-
-		level:     a.intsZero(n),
-		sumDelta:  a.f64(n),
-		sumBid:    a.f64(n),
-		alphaV:    a.f64(n),
-		inCover:   a.boolsZero(n),
-		doneV:     a.boolsZero(n),
-		uncovDeg:  a.intsRaw(n), // written for every vertex in iteration 0
-		inc:       a.intsZero(n),
-		raise:     a.boolsZero(n),
-		joined:    a.boolsZero(n),
-		raises:    a.intsZero(m),
-		stuckCur:  a.intsZero(n),
-		stuckMax:  a.intsZero(n),
-		wT:        a.f64(n),
-		fWT:       a.f64(n),
-		fPlusEps:  num.Add(num.FromRatio(int64(maxInt(f, 1)), 1), num.FromFloat(opts.Epsilon)),
-		uncovered: m,
-	}
-	return &s.st
-}
-
 // release drops the references that would pin caller memory (the
 // hypergraph, the options' tracer) and returns the solver — slabs intact —
 // to the pool. Callers must not touch state slices after this.
@@ -141,15 +97,4 @@ func (s *floatSolver) release() {
 	s.st.opts = Options{}
 	s.run.st = nil
 	floatSolverPool.Put(s)
-}
-
-// runLockstepFloat is the pooled float64 form of runLockstep: the default
-// production path of Run, cold or warm-started. Bit-identical to a make-based
-// run — the arena only changes where the slices live.
-func runLockstepFloat(g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, error) {
-	s := floatSolverPool.Get().(*floatSolver)
-	st := s.initState(g, opts, 0, 0, 0)
-	res, err := runLockstepOn(st, carry)
-	s.release()
-	return res, err
 }

@@ -17,18 +17,19 @@
 // O(logΔ/loglogΔ) for constant f and ε, matching the lower bound of Kuhn,
 // Moscibroda and Wattenhofer.
 //
-// Three execution paths share one semantics. Each takes a carry: the
-// per-vertex dual loads a session's residual solve warm-starts from, nil
-// for a cold start (residual.go).
+// Three runners share one semantics. Each takes a carry: the per-vertex
+// dual loads a session's residual solve warm-starts from, nil for a cold
+// start (residual.go).
 //
-//   - Run executes the generic lockstep runner directly over the
-//     hypergraph: float64 by default, exact big.Rat arithmetic on request;
-//     it is also the tests' reference.
-//   - RunFlat, RunPartition and RunPartitioned execute the frontier runner
-//     (flat.go) over an owned vertex range: the whole instance on a
-//     chunk-parallel worker pool, or one contiguous partition that
-//     exchanges boundary states and coverage counts with its peers through
-//     an Exchanger (partition.go, exchanger.go).
+//   - The frontier runner (flat.go) executes every float64 solve over an
+//     owned vertex range: Run hands it the whole instance on a
+//     chunk-parallel worker pool, RunPartition and RunPartitioned one
+//     contiguous partition that exchanges boundary states and coverage
+//     counts with its peers through an Exchanger (partition.go,
+//     exchanger.go).
+//   - The generic lockstep runner (runner.go) executes Run's exact big.Rat
+//     solves. Instantiated with float64 arithmetic in tests, it is the
+//     frontier runner's independent reference.
 //   - RunCongest builds the bipartite vertex/edge CONGEST network of
 //     Section 2 and executes the message protocol of Appendix B with
 //     O(log n)-bit messages on a congest.Engine.
@@ -47,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"distcover/internal/hypergraph"
 	"distcover/internal/telemetry"
@@ -319,11 +321,16 @@ func defaultIterationCap(f int, eps float64, delta int, alpha float64) int {
 	return cap
 }
 
-// Run executes Algorithm MWHVC on g with the lockstep runner and returns
-// the cover, duals and measured complexity. The input hypergraph must be
-// valid (use hypergraph.Validate for untrusted inputs). A non-nil carry
-// warm-starts a residual solve (residual.go); nil is a cold start.
-func Run(g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, error) {
+// Run executes Algorithm MWHVC on g and returns the cover, duals and
+// measured complexity. The input hypergraph must be valid (use
+// hypergraph.Validate for untrusted inputs). A non-nil carry warm-starts a
+// residual solve (residual.go); nil is a cold start.
+//
+// Float64 runs execute the frontier runner (flat.go) over the whole
+// instance on a pooled solver with the given number of workers, ≤ 0
+// meaning GOMAXPROCS; the result is bit-identical for every count. Exact
+// runs execute the generic lockstep runner over big.Rat and ignore workers.
+func Run(g *hypergraph.Hypergraph, opts Options, carry []float64, workers int) (*Result, error) {
 	if err := opts.validate(g); err != nil {
 		return nil, err
 	}
@@ -333,7 +340,22 @@ func Run(g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, erro
 	if opts.Exact {
 		return runLockstep(newRatNumeric(), g, opts, carry)
 	}
-	return runLockstepFloat(g, opts, carry)
+	n := g.NumVertices()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if max := maxInt(n, 1); workers > max {
+		workers = max
+	}
+	s := floatSolverPool.Get().(*floatSolver)
+	defer s.finishFlat()
+	r := s.bind(g, opts, 0, n, g.NumEdges(), workers)
+	res, err := r.run(carry)
+	if err != nil {
+		return nil, err
+	}
+	r.st.fill(res)
+	return res, nil
 }
 
 // RatioBound is the run certificate's realized ratio weight/dual: 1 for an

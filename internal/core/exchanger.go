@@ -13,7 +13,7 @@ import (
 // through a barrier-based in-memory aggregator instead of framed TCP
 // through a cluster coordinator. RunPartition is written against the
 // Exchanger interface, so the solver code is byte-for-byte the same on
-// both paths and the results stay bit-identical to RunFlat — the partition
+// both paths and the results stay bit-identical to Run — the partition
 // equivalence tests sweep this path at 1..8 partitions alongside the wire
 // paths.
 
@@ -178,8 +178,8 @@ func (g *MemExchangerGroup) failLocked(err error) {
 // vertex-range partitions inside this process, one goroutine per partition
 // over a shared-memory exchanger group — no sockets, no frame codec. A nil
 // carry is a cold solve; a non-nil carry warm-starts the residual path
-// exactly like RunFlat. The merged Result is bit-identical to
-// RunFlat on the undivided instance for every partition count.
+// exactly like Run. The merged Result is bit-identical to Run on the
+// undivided instance for every partition count.
 //
 // Cancelling ctx poisons the exchanger group: every partition unblocks and
 // the context error is returned. ctx may be nil (never cancelled).

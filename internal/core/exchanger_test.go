@@ -14,7 +14,7 @@ import (
 
 // TestRunPartitionedMatchesFlat is the shared-memory leg of the cluster
 // equivalence property: the barrier-based MemExchangerGroup must
-// reconstruct RunFlat's result bit for bit across the full 1..8 partition
+// reconstruct Run's result bit for bit across the full 1..8 partition
 // sweep, cold and carry-warm-started, with the paper's per-iteration
 // invariants (Claims 1, 2, 4) checked inside every partitioned run. The
 // socket-transport leg of the same property lives in the cluster tests;
@@ -26,7 +26,7 @@ func TestRunPartitionedMatchesFlat(t *testing.T) {
 		g := randomPartitionInstance(t, rng, i)
 		opts := DefaultOptions()
 		opts.Epsilon = epss[i%len(epss)]
-		want, err := RunFlat(g, opts, nil, 2)
+		want, err := Run(g, opts, nil, 2)
 		if err != nil {
 			t.Fatalf("instance %d: flat: %v", i, err)
 		}
@@ -47,7 +47,7 @@ func TestRunPartitionedMatchesFlat(t *testing.T) {
 		for v := range carry {
 			carry[v] = rng.Float64() * 0.95 * float64(g.Weight(hypergraph.VertexID(v)))
 		}
-		wantWarm, err := RunFlat(g, opts, carry, 2)
+		wantWarm, err := Run(g, opts, carry, 2)
 		if err != nil {
 			t.Fatalf("instance %d: residual flat: %v", i, err)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,13 +11,13 @@ import (
 	"distcover/internal/telemetry"
 )
 
-// This file implements the frontier runner, the one float64 implementation
-// of the iteration phases besides the generic lockstep runner (runner.go).
-// It runs over an owned vertex range [lo, hi): the whole instance for the
-// flat engine (RunFlat), one contiguous partition for
-// RunPartition and RunPartitioned (partition.go), which add an Exchanger
-// called between the vertex phase and the fused edge+gather phase
-// (boundary states) and after it (coverage counts).
+// This file implements the frontier runner, the one float64 solver: the
+// generic lockstep runner (runner.go) serves only exact arithmetic and the
+// tests' float64 reference. It runs over an owned vertex range [lo, hi):
+// the whole instance for Run, one contiguous partition for RunPartition
+// and RunPartitioned (partition.go), which add an Exchanger called between
+// the vertex phase and the fused edge+gather phase (boundary states) and
+// after it (coverage counts).
 //
 // Each phase of an iteration becomes a parallel-for over chunks of the
 // current frontier with per-chunk partial statistics and a deterministic
@@ -67,25 +66,14 @@ import (
 // tokens, not closures, cross the dispatch channel, keeping the steady
 // state allocation-free.
 //
-// Exact (big.Rat) runs are routed to the sequential runner by RunFlat:
-// rational arithmetic is allocation-bound rather than memory-bound, and the
-// results are identical by construction.
-
-// RunFlat executes Algorithm MWHVC on g with the chunk-parallel flat
-// runner, warm-started from carry when it is non-nil (see Run). workers ≤ 0
-// uses GOMAXPROCS. Results are bit-identical to Run for every worker count.
-func RunFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, workers int) (*Result, error) {
-	if err := opts.validate(g); err != nil {
-		return nil, err
-	}
-	if err := validateCarry(g, carry); err != nil {
-		return nil, err
-	}
-	if opts.Exact {
-		return runLockstep(newRatNumeric(), g, opts, carry)
-	}
-	return runLockstepFlat(g, opts, carry, workers)
-}
+// The kernels bind floatNumeric statically, so its methods inline. Each
+// arithmetic step must stay a separate IEEE operation in the order the
+// generic runner performs it: CI fails if the arm64 build fuses a
+// multiply-add inside a flatRun method.
+//
+// Run routes exact (big.Rat) runs to the generic lockstep runner: rational
+// arithmetic is allocation-bound rather than memory-bound, and the results
+// are identical by construction.
 
 // flatEdgeVisits, when non-nil, receives the number of live edges the edge
 // phase is about to visit, once per iteration. Test instrumentation only:
@@ -176,41 +164,50 @@ type flatRun struct {
 	chunkNS []int64
 }
 
-// runLockstepFlat runs the frontier runner over the whole instance on a
-// pooled solver. Only the float64 path exists: the flat engine is the
-// production fast path, and exact runs go sequential.
-func runLockstepFlat(g *hypergraph.Hypergraph, opts Options, carry []float64, workers int) (*Result, error) {
-	n := g.NumVertices()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := maxInt(n, 1); workers > max {
-		workers = max
-	}
-	s := floatSolverPool.Get().(*floatSolver)
-	defer s.finishFlat()
-	r := s.bind(g, opts, 0, n, g.NumEdges(), workers)
-	res, err := r.run(carry)
-	if err != nil {
-		return nil, err
-	}
-	r.st.fill(res)
-	return res, nil
-}
-
 // bind prepares s for one solve of g over the owned vertex range [lo, hi)
-// with nLive local edges (all m for the whole instance): it carves the
-// state, the per-edge scratch and the frontier lists out of the arena and
-// starts workers-1 helper goroutines.
+// with nLive local edges (all m for the whole instance): it sizes the arena
+// for the state, the per-edge scratch and the frontier lists, carves them
+// out of it, and starts workers-1 helper goroutines.
 func (s *floatSolver) bind(g *hypergraph.Hypergraph, opts Options, lo, hi, nLive, workers int) *flatRun {
-	m := g.NumEdges()
-	st := s.initState(g, opts, m, hi-lo+nLive, m)
+	n, m := g.NumVertices(), g.NumEdges()
+	a := &s.arena
+	a.reset(4*m+5*n, 5*n+m+(hi-lo)+nLive, 2*m+4*n)
+	num := floatNumeric{}
+	f := g.Rank()
+	s.st = state[float64]{
+		num:  num,
+		g:    g,
+		opts: opts,
+
+		bid:     a.f64(m),
+		delta:   a.f64(m),
+		covered: a.boolsZero(m),
+		alphaE:  a.f64(m),
+
+		level:     a.intsZero(n),
+		sumDelta:  a.f64(n),
+		sumBid:    a.f64(n),
+		alphaV:    a.f64(n),
+		inCover:   a.boolsZero(n),
+		doneV:     a.boolsZero(n),
+		uncovDeg:  a.intsRaw(n), // written for every vertex in iteration 0
+		inc:       a.intsZero(n),
+		raise:     a.boolsZero(n),
+		joined:    a.boolsZero(n),
+		raises:    a.intsZero(m),
+		stuckCur:  a.intsZero(n),
+		stuckMax:  a.intsZero(n),
+		wT:        a.f64(n),
+		fWT:       a.f64(n),
+		fPlusEps:  num.Add(num.FromRatio(int64(maxInt(f, 1)), 1), num.FromFloat(opts.Epsilon)),
+		uncovered: m,
+	}
 	r := &s.run
-	r.st, r.workers, r.lo, r.hi = st, workers, lo, hi
-	r.addE = s.arena.f64(m)
-	r.newly = s.arena.boolsZero(m)
-	r.activeV = s.arena.intsRaw(hi - lo)[:0]
-	r.liveE = s.arena.intsRaw(nLive)[:0]
+	r.st, r.workers, r.lo, r.hi = &s.st, workers, lo, hi
+	r.addE = a.f64(m)
+	r.newly = a.boolsZero(m)
+	r.activeV = a.intsRaw(hi - lo)[:0]
+	r.liveE = a.intsRaw(nLive)[:0]
 	maxTasks := maxInt(workers*flatChunksPerWorker, 1)
 	if cap(r.partStats) < maxTasks {
 		r.partStats = make([]IterationStats, maxTasks)
@@ -574,7 +571,7 @@ func (r *flatRun) compactFrontiers() {
 // first loop of state.initIterationZero.
 func (r *flatRun) initVertexRange(lo, hi int) {
 	st, g := r.st, r.st.g
-	num := st.num
+	num := floatNumeric{}
 	carry := r.carry
 	for v := lo; v < hi; v++ {
 		w := g.Weight(hypergraph.VertexID(v))
@@ -600,7 +597,7 @@ func (r *flatRun) initVertexRange(lo, hi int) {
 // A cut edge gets the same bid on every partition holding it.
 func (r *flatRun) initEdgeRange(lo, hi int) {
 	st, g := r.st, r.st.g
-	num := st.num
+	num := floatNumeric{}
 	carry := r.carry
 	for _, e := range r.liveE[lo:hi] {
 		vs := g.Edge(hypergraph.EdgeID(e))
@@ -634,7 +631,7 @@ func (r *flatRun) initEdgeRange(lo, hi int) {
 // of vertices [lo,hi), in ascending edge id — the sequential scatter order.
 func (r *flatRun) initGatherRange(lo, hi int) {
 	st, g := r.st, r.st.g
-	num := st.num
+	num := floatNumeric{}
 	for v := lo; v < hi; v++ {
 		for _, e := range g.Incident(hypergraph.VertexID(v)) {
 			st.sumDelta[v] = num.Add(st.sumDelta[v], st.bid[e])
@@ -648,7 +645,7 @@ func (r *flatRun) initGatherRange(lo, hi int) {
 // doneV test the frontier makes redundant, with per-chunk statistics.
 func (r *flatRun) vertexRange(lo, hi int, part *IterationStats) {
 	st := r.st
-	num := st.num
+	num := floatNumeric{}
 	*part = IterationStats{}
 	for _, v := range r.activeV[lo:hi] {
 		st.inc[v] = 0
@@ -695,7 +692,7 @@ func (r *flatRun) vertexRange(lo, hi int, part *IterationStats) {
 // cut edges replicated on several partitions are counted once.
 func (r *flatRun) edgeRange(lo, hi int, part *IterationStats) {
 	st, g := r.st, r.st.g
-	num := st.num
+	num := floatNumeric{}
 	*part = IterationStats{}
 	for _, e := range r.liveE[lo:hi] {
 		vs := g.Edge(hypergraph.EdgeID(e))
@@ -747,7 +744,7 @@ func (r *flatRun) edgeRange(lo, hi int, part *IterationStats) {
 // skips done vertices.
 func (r *flatRun) gatherRange(lo, hi int) {
 	st, g := r.st, r.st.g
-	num := st.num
+	num := floatNumeric{}
 	for _, v := range r.activeV[lo:hi] {
 		if st.doneV[v] {
 			continue

@@ -45,6 +45,20 @@ func flatTestInstance(t *testing.T, rng *rand.Rand, i int) *hypergraph.Hypergrap
 	return g
 }
 
+// lockstepReference runs the generic lockstep runner (runner.go) behind the
+// option and carry validation Run applies. Instantiated with floatNumeric
+// it is the tests' float64 reference for the frontier runner, which Run
+// uses for every float64 solve.
+func lockstepReference[T any](num numeric[T], g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, error) {
+	if err := opts.validate(g); err != nil {
+		return nil, err
+	}
+	if err := validateCarry(g, carry); err != nil {
+		return nil, err
+	}
+	return runLockstep(num, g, opts, carry)
+}
+
 // requireSameResult asserts bit-for-bit equality of everything a Result
 // carries (duals compared exactly — the flat runner must apply the same
 // float operations in the same order).
@@ -80,9 +94,9 @@ func requireFlatSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestFlatBitIdenticalToLockstep checks the flat runner against the
-// sequential lockstep runner across option variants and worker counts,
-// with tracing and invariant checks on.
+// TestFlatBitIdenticalToLockstep checks the frontier runner against the
+// generic lockstep runner over floatNumeric across option variants and
+// worker counts, with tracing and invariant checks on.
 func TestFlatBitIdenticalToLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(8421))
 	variants := []struct {
@@ -101,12 +115,12 @@ func TestFlatBitIdenticalToLockstep(t *testing.T) {
 		opts := v.opts()
 		opts.CollectTrace = true
 		opts.CheckInvariants = true
-		want, err := Run(g, opts, nil)
+		want, err := lockstepReference(floatNumeric{}, g, opts, nil)
 		if err != nil {
 			t.Fatalf("instance %d (%s): sequential: %v", i, v.name, err)
 		}
 		for workers := 1; workers <= 8; workers++ {
-			got, err := RunFlat(g, opts, nil, workers)
+			got, err := Run(g, opts, nil, workers)
 			if err != nil {
 				t.Fatalf("instance %d (%s): flat/%d: %v", i, v.name, workers, err)
 			}
@@ -117,7 +131,7 @@ func TestFlatBitIdenticalToLockstep(t *testing.T) {
 
 // TestFlatResidualBitIdentical checks the warm-started path: random carried
 // loads within each vertex's slack must produce the identical residual
-// result on both runners.
+// result on the frontier runner and the generic float reference.
 func TestFlatResidualBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77553))
 	for i := 0; i < 12; i++ {
@@ -129,12 +143,12 @@ func TestFlatResidualBitIdentical(t *testing.T) {
 		opts := DefaultOptions()
 		opts.CollectTrace = true
 		opts.CheckInvariants = true
-		want, err := Run(g, opts, carry)
+		want, err := lockstepReference(floatNumeric{}, g, opts, carry)
 		if err != nil {
 			t.Fatalf("instance %d: sequential residual: %v", i, err)
 		}
 		for workers := 1; workers <= 8; workers++ {
-			got, err := RunFlat(g, opts, carry, workers)
+			got, err := Run(g, opts, carry, workers)
 			if err != nil {
 				t.Fatalf("instance %d: flat residual/%d: %v", i, workers, err)
 			}
@@ -156,7 +170,7 @@ func TestFlatCoveredEdgesNeverRevisited(t *testing.T) {
 		opts.CollectTrace = true
 		var live []int
 		flatEdgeVisits = func(liveEdges int) { live = append(live, liveEdges) }
-		res, err := RunFlat(g, opts, nil, 1+i%4)
+		res, err := Run(g, opts, nil, 1+i%4)
 		flatEdgeVisits = nil
 		if err != nil {
 			t.Fatal(err)
@@ -175,8 +189,9 @@ func TestFlatCoveredEdgesNeverRevisited(t *testing.T) {
 	}
 }
 
-// TestFlatExactFallsBackSequential: exact runs must produce the sequential
-// exact result (the flat runner routes them there).
+// TestFlatExactFallsBackSequential: exact runs must produce the generic
+// runner's rational result whatever the worker count (Run routes them
+// there).
 func TestFlatExactFallsBackSequential(t *testing.T) {
 	g := hypergraph.MustNew(
 		[]int64{7, 3, 9, 2, 8},
@@ -184,11 +199,11 @@ func TestFlatExactFallsBackSequential(t *testing.T) {
 	)
 	opts := DefaultOptions()
 	opts.Exact = true
-	want, err := Run(g, opts, nil)
+	want, err := lockstepReference(newRatNumeric(), g, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunFlat(g, opts, nil, 4)
+	got, err := Run(g, opts, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,22 +214,22 @@ func TestFlatExactFallsBackSequential(t *testing.T) {
 // and isolated vertices.
 func TestFlatEmptyAndIsolated(t *testing.T) {
 	g := hypergraph.MustNew([]int64{5, 1, 2}, [][]hypergraph.VertexID{{0, 1}})
-	want, err := Run(g, DefaultOptions(), nil)
+	want, err := lockstepReference(floatNumeric{}, g, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunFlat(g, DefaultOptions(), nil, 8)
+	got, err := Run(g, DefaultOptions(), nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireFlatSameResult(t, "isolated", got, want)
 
 	empty := hypergraph.MustNew([]int64{4, 2}, nil)
-	want, err = Run(empty, DefaultOptions(), nil)
+	want, err = lockstepReference(floatNumeric{}, empty, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = RunFlat(empty, DefaultOptions(), nil, 2)
+	got, err = Run(empty, DefaultOptions(), nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestLemma6RaiseBound(t *testing.T) {
 			opts.Alpha = AlphaFixed
 			opts.FixedAlpha = alpha
 			opts.CollectTrace = true
-			res, err := Run(g, opts, nil)
+			res, err := Run(g, opts, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestLemma7StuckBound(t *testing.T) {
 			opts.Alpha = AlphaFixed
 			opts.FixedAlpha = alpha
 			opts.CollectTrace = true
-			res, err := Run(g, opts, nil)
+			res, err := Run(g, opts, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestTheorem8TotalIterations(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Alpha = AlphaFixed
 		opts.FixedAlpha = alpha
-		res, err := Run(g, opts, nil)
+		res, err := Run(g, opts, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

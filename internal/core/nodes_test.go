@@ -13,7 +13,7 @@ import (
 
 func runBoth(t *testing.T, g *hypergraph.Hypergraph, opts Options) (*Result, *Result, congest.Metrics) {
 	t.Helper()
-	lockstep, err := Run(g, opts, nil)
+	lockstep, err := Run(g, opts, nil, 1)
 	if err != nil {
 		t.Fatalf("lockstep Run: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestCongestMatchesLockstepProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lockstep, err := Run(g, DefaultOptions(), nil)
+		lockstep, err := Run(g, DefaultOptions(), nil, 1)
 		if err != nil {
 			return false
 		}

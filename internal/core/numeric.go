@@ -31,7 +31,8 @@ type numeric[T any] interface {
 	IntegerAlpha() bool
 }
 
-// floatNumeric is the fast default arithmetic.
+// floatNumeric is the fast default arithmetic. The frontier runner's
+// kernels bind it statically, so its methods inline there.
 type floatNumeric struct{}
 
 var _ numeric[float64] = floatNumeric{}
@@ -41,8 +42,29 @@ func (floatNumeric) FromFloat(f float64) float64      { return f }
 func (floatNumeric) Zero() float64                    { return 0 }
 func (floatNumeric) Add(a, b float64) float64         { return a + b }
 func (floatNumeric) Mul(a, b float64) float64         { return a * b }
-func (floatNumeric) HalfPow(a float64, k int) float64 { return a * math.Pow(0.5, float64(k)) }
 func (floatNumeric) IntegerAlpha() bool               { return false }
+
+// HalfPow multiplies a by 2^-k. For k < 64 the factor comes from
+// halfPowTab, which holds math.Pow(0.5, k) exactly, so both branches are
+// the same IEEE multiply with the same operands.
+func (floatNumeric) HalfPow(a float64, k int) float64 {
+	if uint(k) < uint(len(halfPowTab)) {
+		return a * halfPowTab[k]
+	}
+	return a * math.Pow(0.5, float64(k))
+}
+
+// halfPowTab[k] is 2^-k, written as literals so it costs no start-up work.
+var halfPowTab = [64]float64{
+	0x1p-0, 0x1p-1, 0x1p-2, 0x1p-3, 0x1p-4, 0x1p-5, 0x1p-6, 0x1p-7,
+	0x1p-8, 0x1p-9, 0x1p-10, 0x1p-11, 0x1p-12, 0x1p-13, 0x1p-14, 0x1p-15,
+	0x1p-16, 0x1p-17, 0x1p-18, 0x1p-19, 0x1p-20, 0x1p-21, 0x1p-22, 0x1p-23,
+	0x1p-24, 0x1p-25, 0x1p-26, 0x1p-27, 0x1p-28, 0x1p-29, 0x1p-30, 0x1p-31,
+	0x1p-32, 0x1p-33, 0x1p-34, 0x1p-35, 0x1p-36, 0x1p-37, 0x1p-38, 0x1p-39,
+	0x1p-40, 0x1p-41, 0x1p-42, 0x1p-43, 0x1p-44, 0x1p-45, 0x1p-46, 0x1p-47,
+	0x1p-48, 0x1p-49, 0x1p-50, 0x1p-51, 0x1p-52, 0x1p-53, 0x1p-54, 0x1p-55,
+	0x1p-56, 0x1p-57, 0x1p-58, 0x1p-59, 0x1p-60, 0x1p-61, 0x1p-62, 0x1p-63,
+}
 
 func (floatNumeric) Cmp(a, b float64) int {
 	switch {

@@ -39,7 +39,7 @@ import (
 //
 // Bit-identity: every float operation a partition performs per vertex and
 // per edge is the one the whole-instance run performs, in the same order,
-// so AssembleParts reconstructs a Result bit-identical to RunFlat (and
+// so AssembleParts reconstructs a Result bit-identical to Run (and
 // therefore to runLockstep and every CONGEST engine). The partition
 // equivalence tests enforce this for 1..8 partitions, cold and warm starts
 // alike, with the invariants checked inside every partition.
@@ -144,7 +144,7 @@ func validateBounds(g *hypergraph.Hypergraph, bounds []int, part int) error {
 // coordinator ships them in one setup frame); ex synchronizes the
 // iterations. The returned PartialResult covers the partition's vertex
 // range and owned edges only — AssembleParts merges the shares into a
-// Result bit-identical to RunFlat on the undivided instance.
+// Result bit-identical to Run on the undivided instance.
 func RunPartition(g *hypergraph.Hypergraph, opts Options, carry []float64, bounds []int, part int, ex Exchanger) (*PartialResult, error) {
 	if err := opts.validate(g); err != nil {
 		return nil, err
@@ -350,7 +350,7 @@ func (r *flatRun) partial(res *Result) *PartialResult {
 }
 
 // AssembleParts merges the partitions' shares into a Result equal, bit for
-// bit, to RunFlat on the undivided instance: every edge's dual is reported
+// bit, to Run on the undivided instance: every edge's dual is reported
 // by exactly one owner, and finish derives the cover and the dual value
 // from the merged vectors exactly as it does for every other engine. The
 // partitions' reported cover weights must add up to the finished weight.

@@ -198,7 +198,7 @@ func requirePartitionResult(t *testing.T, label string, got, want *Result) {
 
 // TestPartitionRunnerMatchesFlat is the in-process half of the cluster
 // equivalence property: for random instances, partition counts 1..4 and
-// varying ε, the partitioned runner must reconstruct RunFlat's result bit
+// varying ε, the partitioned runner must reconstruct Run's result bit
 // for bit — cold starts and carry-warm residual starts alike.
 func TestPartitionRunnerMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260731))
@@ -210,7 +210,7 @@ func TestPartitionRunnerMatchesFlat(t *testing.T) {
 		if i%5 == 4 {
 			opts.Alpha = AlphaLocal
 		}
-		want, err := RunFlat(g, opts, nil, 2)
+		want, err := Run(g, opts, nil, 2)
 		if err != nil {
 			t.Fatalf("instance %d: flat: %v", i, err)
 		}
@@ -237,7 +237,7 @@ func TestPartitionRunnerMatchesResidualFlat(t *testing.T) {
 			carry[v] = rng.Float64() * 0.97 * float64(g.Weight(hypergraph.VertexID(v)))
 		}
 		opts := DefaultOptions()
-		want, err := RunFlat(g, opts, carry, 3)
+		want, err := Run(g, opts, carry, 3)
 		if err != nil {
 			t.Fatalf("instance %d: residual flat: %v", i, err)
 		}
@@ -372,7 +372,7 @@ func TestPartitionRejectsForeignBoundaryStates(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	bounds := PlanPartitions(g, 2)
-	want, err := RunFlat(g, opts, nil, 1)
+	want, err := Run(g, opts, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

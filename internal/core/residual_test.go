@@ -28,7 +28,7 @@ func makeResidualFixture(t *testing.T, rng *rand.Rand, n int) (*Result, *residua
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(base, DefaultOptions(), nil)
+	res, err := Run(base, DefaultOptions(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestResidualLockstepCongestParity(t *testing.T) {
 			continue
 		}
 		fixtures++
-		ref, err := Run(fx.g, DefaultOptions(), fx.carry)
+		ref, err := Run(fx.g, DefaultOptions(), fx.carry, 1)
 		if err != nil {
 			t.Fatalf("fixture %d: lockstep: %v", i, err)
 		}
@@ -145,7 +145,7 @@ func TestResidualDualFeasibility(t *testing.T) {
 		if fx == nil {
 			continue
 		}
-		res, err := Run(fx.g, DefaultOptions(), fx.carry)
+		res, err := Run(fx.g, DefaultOptions(), fx.carry, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,20 +176,20 @@ func TestResidualCarryValidation(t *testing.T) {
 		{6, 0},    // > weight
 	}
 	for i, carry := range cases {
-		if _, err := Run(g, DefaultOptions(), carry); !errors.Is(err, ErrBadCarry) {
+		if _, err := Run(g, DefaultOptions(), carry, 1); !errors.Is(err, ErrBadCarry) {
 			t.Errorf("case %d: got %v, want ErrBadCarry", i, err)
 		}
 	}
-	if _, err := Run(g, DefaultOptions(), []float64{0, 0}); err != nil {
+	if _, err := Run(g, DefaultOptions(), []float64{0, 0}, 1); err != nil {
 		t.Errorf("zero carry should run: %v", err)
 	}
 	// Zero carry behaves exactly like a cold run (levels all 0 reduce the
 	// warm bid rule to the paper's).
-	cold, err := Run(g, DefaultOptions(), nil)
+	cold, err := Run(g, DefaultOptions(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Run(g, DefaultOptions(), []float64{0, 0})
+	warm, err := Run(g, DefaultOptions(), []float64{0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,7 @@ import (
 // shrink to fit the remaining slack; see initIterationZero. carry == nil is
 // the ordinary cold start.
 func runLockstep[T any](num numeric[T], g *hypergraph.Hypergraph, opts Options, carry []float64) (*Result, error) {
-	return runLockstepOn(newState(num, g, opts), carry)
-}
-
-// runLockstepOn is runLockstep over a caller-provided state, so the float64
-// production path can hand in pooled, arena-backed state (arena.go) while
-// the exact path keeps plain allocation. The state must be freshly
-// initialized for its graph; it is fully consumed by the run.
-func runLockstepOn[T any](st *state[T], carry []float64) (*Result, error) {
-	g, opts := st.g, st.opts
+	st := newState(num, g, opts)
 	n := g.NumVertices()
 	f := g.Rank()
 	eps := opts.Epsilon
@@ -108,7 +100,7 @@ func runLockstepOn[T any](st *state[T], carry []float64) (*Result, error) {
 	return res, nil
 }
 
-// state is the lockstep runner's working memory.
+// state is the runners' working memory.
 type state[T any] struct {
 	num  numeric[T]
 	g    *hypergraph.Hypergraph
@@ -142,8 +134,8 @@ type state[T any] struct {
 	localAlpha bool
 }
 
-// newState allocates the runner's working memory for g. Shared by the
-// sequential lockstep runner and the chunk-parallel flat runner (flat.go).
+// newState allocates the generic runner's working memory for g; the
+// frontier runner carves the same fields out of an arena (floatSolver.bind).
 func newState[T any](num numeric[T], g *hypergraph.Hypergraph, opts Options) *state[T] {
 	n, m := g.NumVertices(), g.NumEdges()
 	f := g.Rank()

@@ -22,7 +22,7 @@ func TestReducedInstanceRunsOnCongest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lockstep, err := core.Run(zoRed.G, core.DefaultOptions(), nil)
+		lockstep, err := core.Run(zoRed.G, core.DefaultOptions(), nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

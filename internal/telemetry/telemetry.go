@@ -1,10 +1,10 @@
 // Package telemetry is the solve-tracing layer threaded through every
-// engine: the lockstep simulator, the chunk-parallel flat runner, the
-// CONGEST runners and the multi-process cluster coordinator/peer all
-// invoke a Tracer at phase boundaries when one is configured, and stay
-// strictly zero-overhead (a nil check, no allocation) when it is not —
-// the exactly-gated allocation counts in BENCH_baseline.json hold with
-// tracing disabled.
+// engine: the frontier runner (engine "sim" at one worker, "flat" at
+// more), the CONGEST runners and the multi-process cluster
+// coordinator/peer all invoke a Tracer at phase boundaries when one is
+// configured, and stay strictly zero-overhead (a nil check, no
+// allocation) when it is not — the exactly-gated allocation counts in
+// BENCH_baseline.json hold with tracing disabled.
 //
 // The package defines two things: the Tracer hook interface the engines
 // call into, and Recorder, the standard implementation that accumulates

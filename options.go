@@ -19,14 +19,11 @@ type solveConfig struct {
 	shards int
 	// congest records that an engine option was given explicitly. Solve and
 	// SolveCongest override it (their execution path is fixed by the call);
-	// sessions use it to decide between the lockstep simulator (default)
-	// and the message protocol on the selected engine.
+	// sessions use it to decide between the frontier runner (default) and
+	// the message protocol on the selected engine.
 	congest bool
-	// flat routes Solve and session residual re-solves through the
-	// chunk-parallel flat runner instead of the sequential lockstep
-	// simulator. Results are bit-identical; only speed changes.
-	flat bool
-	// parallelism is the flat runner's worker count (0 = GOMAXPROCS).
+	// parallelism is the frontier runner's worker count: 1 by default,
+	// ≤ 0 for GOMAXPROCS.
 	parallelism int
 	// clusterPeers, when non-empty, routes solves and session residual
 	// re-solves across coverd peer processes (ClusterSolve's path).
@@ -162,24 +159,19 @@ func WithInvariantChecks() Option {
 	return optionFunc(func(c *solveConfig) { c.core.CheckInvariants = true })
 }
 
-// WithFlatEngine makes Solve, NewSession and every Session.Update run the
-// chunk-parallel flat solver: each vertex/edge phase of the lockstep
-// algorithm becomes a parallel-for over contiguous ranges of the instance's
-// CSR arrays, with a deterministic reduction that keeps the result
-// bit-identical to the default simulator (and therefore to every CONGEST
-// engine) for any worker count. This is the production fast path — it runs
-// the algorithm, not the message simulation — and solve latency tracks
-// hardware cores. Combine with WithSolverParallelism to pin the worker
-// count. Ignored by SolveCongest (which always runs the message protocol);
-// exact-arithmetic runs fall back to the sequential exact runner.
-func WithFlatEngine() Option {
-	return optionFunc(func(c *solveConfig) { c.flat = true })
-}
+// WithFlatEngine runs the solver on one worker per CPU.
+//
+// Deprecated: use WithSolverParallelism(0).
+func WithFlatEngine() Option { return WithSolverParallelism(0) }
 
-// WithSolverParallelism sets the flat runner's worker count; n ≤ 0 or
-// omitting the option means GOMAXPROCS. Implies nothing about which engine
-// runs: combine with WithFlatEngine. The result is identical for every n —
-// only the wall-clock changes.
+// WithSolverParallelism sets the worker count of the frontier runner that
+// Solve, NewSession and every Session.Update run when no cluster or
+// CONGEST engine is selected: each vertex/edge phase becomes a
+// parallel-for over chunks of the instance's CSR arrays, with a
+// deterministic reduction. Omitting the option means one worker; n ≤ 0
+// means GOMAXPROCS. The result is identical for every n — only the
+// wall-clock changes. Ignored by SolveCongest, which runs the message
+// protocol, and by exact-arithmetic runs, which are sequential.
 func WithSolverParallelism(n int) Option {
 	return optionFunc(func(c *solveConfig) { c.parallelism = n })
 }
@@ -213,9 +205,9 @@ func WithClusterPartitions(n int) Option {
 
 // WithSequentialEngine explicitly selects the deterministic sequential
 // CONGEST engine — SolveCongest's default. Its real use is with sessions:
-// NewSession runs the fast lockstep simulator unless an engine option asks
-// for the message protocol, and this option is how to ask for the default
-// engine. Ignored by Solve.
+// NewSession runs the frontier runner unless an engine option asks for the
+// message protocol, and this option is how to ask for the default engine.
+// Ignored by Solve.
 func WithSequentialEngine() Option {
 	return optionFunc(func(c *solveConfig) {
 		c.engine = engineSequential
@@ -231,10 +223,9 @@ func WithParallelEngine() Option { return WithShardedEngine() }
 // WithShardedEngine makes SolveCongest run the network on the sharded
 // engine: nodes are partitioned over a fixed worker pool and messages are
 // routed through flat slice mailboxes instead of per-node channels. This is
-// the engine for large instances — it handles networks of millions of nodes
-// at a small multiple of the lockstep simulator's cost — and its results
-// are bit-identical to the other engines. Combine with WithShardCount to
-// pin the partition count. Ignored by Solve.
+// the CONGEST engine for large instances — it handles networks of millions
+// of nodes — and its results are bit-identical to the other engines.
+// Combine with WithShardCount to pin the partition count. Ignored by Solve.
 func WithShardedEngine() Option {
 	return optionFunc(func(c *solveConfig) {
 		c.engine = engineSharded
@@ -275,7 +266,7 @@ func (c solveConfig) buildEngine() congest.Engine {
 }
 
 func optConfig(opts []Option) solveConfig {
-	cfg := solveConfig{core: core.DefaultOptions()}
+	cfg := solveConfig{core: core.DefaultOptions(), parallelism: 1}
 	for _, o := range opts {
 		o.apply(&cfg)
 	}

@@ -26,12 +26,13 @@ type TraceReport = telemetry.Report
 
 // Engine names for SolveOptions.Engine.
 const (
-	// EngineSim is the fast lockstep simulator (distcover.Solve); default.
+	// EngineSim runs the algorithm directly over the instance's CSR arrays
+	// on one worker (distcover.Solve); default.
 	EngineSim = "sim"
-	// EngineFlat is the chunk-parallel flat solver: the lockstep algorithm
-	// over the instance's CSR arrays with one worker per core. Results are
-	// bit-identical to EngineSim (the two share a cache identity); this is
-	// the engine for production solve latency. See SolveOptions.Parallelism.
+	// EngineFlat runs the same solver as EngineSim on one worker per core,
+	// or SolveOptions.Parallelism workers. Results are bit-identical to
+	// EngineSim (the two share a cache identity); only the wall-clock
+	// changes.
 	EngineFlat = "flat"
 	// EngineCongest runs the real message protocol on the deterministic
 	// sequential CONGEST engine (distcover.SolveCongest).
@@ -74,15 +75,17 @@ type SolveOptions struct {
 	// Empty means EngineSim.
 	Engine string `json:"engine,omitempty"`
 	// Shards sets the node-partition count for EngineCongestSharded and
-	// its alias EngineCongestParallel (0 = one shard per CPU). Ignored by
-	// the other engines.
+	// its alias EngineCongestParallel (0 = one shard per CPU). The server
+	// caps it at its CPU count (GOMAXPROCS). Ignored by the other engines.
 	Shards int `json:"shards,omitempty"`
 	// Parallelism sets the worker count for EngineFlat (0 = one worker per
-	// CPU). Ignored by the other engines; never changes results.
+	// CPU). The server caps it at its CPU count (GOMAXPROCS). Ignored by
+	// the other engines; never changes results.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Partitions sets the partition count for EngineCluster (0 = one per
-	// configured peer). Ignored by the other engines; never changes
-	// results.
+	// configured peer). On a server without peers the partitions run
+	// in-process, and the server caps the count at its CPU count
+	// (GOMAXPROCS). Ignored by the other engines; never changes results.
 	Partitions int `json:"partitions,omitempty"`
 	// NoCache bypasses the server's instance-result cache for this request
 	// (the result is still stored for future requests).
@@ -104,7 +107,7 @@ func (o SolveOptions) Fingerprint() string {
 	if eng == "" {
 		eng = EngineSim
 	}
-	// The flat and cluster engines are bit-identical to the simulator
+	// The flat and cluster engines are bit-identical to EngineSim
 	// (enforced by the engine- and cluster-equivalence property tests), so
 	// the three share one cache identity; Parallelism and Partitions change
 	// scheduling and placement, not results, and are likewise excluded. The

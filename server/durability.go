@@ -188,10 +188,10 @@ func (s *Server) installRecovered(e *sessionEntry) {
 }
 
 // recoveryOptions maps a recovered session's stored API options onto
-// library options. Cluster sessions are rebuilt on the flat engine — the
-// peers may not be reachable while this server is starting, and the flat
-// solver computes the bit-identical cover — then re-pointed at the
-// configured peers for future updates.
+// library options. Cluster sessions are rebuilt in-process on the flat
+// engine — the peers may not be reachable while this server is starting,
+// and the frontier runner computes the bit-identical cover — then
+// re-pointed at the configured peers for future updates.
 func (s *Server) recoveryOptions(id string, raw []byte) (api.SolveOptions, []distcover.Option, []string, bool) {
 	var opts api.SolveOptions
 	if len(raw) > 0 {

@@ -41,7 +41,7 @@ var recoveryDeltas = []api.SessionDelta{
 // must reproduce bit for bit.
 func referenceSession(t *testing.T, inst *distcover.Instance, upTo int) distcover.SessionState {
 	t.Helper()
-	ref, err := distcover.NewSession(inst, distcover.WithEpsilon(0.5), distcover.WithFlatEngine())
+	ref, err := distcover.NewSession(inst, distcover.WithEpsilon(0.5), distcover.WithSolverParallelism(0))
 	if err != nil {
 		t.Fatal(err)
 	}

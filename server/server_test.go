@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -251,6 +252,43 @@ func TestSolveSyncAndEngines(t *testing.T) {
 		Instance: raw, Options: api.SolveOptions{Engine: "warp-drive"},
 	}); err == nil {
 		t.Fatal("unknown engine should fail")
+	}
+}
+
+// TestHugeWorkerCountsAreCapped: parallelism, shards and (on a server
+// without peers) partitions of 1<<20 are capped at the server's CPU count,
+// so each such request returns the default request's cover, weight and
+// dual bound instead of asking for a million goroutines and arenas.
+func TestHugeWorkerCountsAreCapped(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
+	inst := genInstance(t, 30, 60, 3, 7)
+	raw, err := client.EncodeInstance(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := c.SolveRequest(ctx, api.SolveRequest{
+		Instance: raw, Options: api.SolveOptions{Epsilon: 0.5, NoCache: true},
+	})
+	if err != nil {
+		t.Fatalf("default solve: %v", err)
+	}
+	const huge = 1 << 20
+	for _, o := range []api.SolveOptions{
+		{Engine: api.EngineFlat, Parallelism: huge},
+		{Engine: api.EngineCongestSharded, Shards: huge},
+		{Engine: api.EngineCluster, Partitions: huge},
+	} {
+		o.Epsilon, o.NoCache = 0.5, true
+		got, err := c.SolveRequest(ctx, api.SolveRequest{Instance: raw, Options: o})
+		if err != nil {
+			t.Fatalf("%s: %v", o.Engine, err)
+		}
+		if !reflect.DeepEqual(got.Cover, want.Cover) || got.Weight != want.Weight ||
+			got.DualLowerBound != want.DualLowerBound {
+			t.Fatalf("%s: (%v, %d, %g) differs from the default request (%v, %d, %g)",
+				o.Engine, got.Cover, got.Weight, got.DualLowerBound, want.Cover, want.Weight, want.DualLowerBound)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"log/slog"
+	"runtime"
 	"time"
 
 	"distcover"
@@ -36,7 +37,7 @@ type clusterSettings struct {
 // library options. Without -peers the cluster engine still works when a
 // partition count is available (from the request or -partition): the
 // partitions run in-process over the shared-memory exchanger instead of
-// TCP peers.
+// TCP peers, at most capWorkers of them.
 func (c clusterSettings) options(o api.SolveOptions) ([]distcover.Option, error) {
 	parts := o.Partitions
 	if parts == 0 {
@@ -46,7 +47,7 @@ func (c clusterSettings) options(o api.SolveOptions) ([]distcover.Option, error)
 		if parts <= 0 {
 			return nil, fmt.Errorf("coverd: engine %q requires a server started with -peers, or a partition count for the local shared-memory mode", api.EngineCluster)
 		}
-		return []distcover.Option{distcover.WithClusterPartitions(parts)}, nil
+		return []distcover.Option{distcover.WithClusterPartitions(capWorkers(parts))}, nil
 	}
 	return []distcover.Option{
 		distcover.WithClusterPeers(c.peers...),
@@ -237,17 +238,30 @@ func baseLibOptions(o api.SolveOptions) []distcover.Option {
 	return opts
 }
 
-// libOptions additionally maps the engine choice: the flat runner, the
-// cluster partitions (across the server's peers, or in-process), or a
-// CONGEST engine. For sessions an explicit engine option switches
-// NewSession from the lockstep simulator to the message protocol on that
-// engine; for solves it accompanies the library call solve picks.
+// capWorkers caps a request's worker, shard or in-process partition count
+// at GOMAXPROCS. Results never depend on the count, no more workers than
+// that run at once, and each one costs a goroutine and, for a partition, a
+// whole-instance arena. A count ≤ 0 keeps its meaning (one per CPU, or the
+// server's default).
+func capWorkers(n int) int {
+	if max := runtime.GOMAXPROCS(0); n > max {
+		return max
+	}
+	return n
+}
+
+// libOptions additionally maps the engine choice: the frontier runner's
+// worker count, the cluster partitions (across the server's peers, or
+// in-process), or a CONGEST engine. For sessions an explicit CONGEST
+// engine option switches NewSession from the frontier runner to the
+// message protocol on that engine; for solves it accompanies the library
+// call solve picks.
 func libOptions(o api.SolveOptions, cluster clusterSettings) ([]distcover.Option, error) {
 	opts := baseLibOptions(o)
 	switch o.Engine {
 	case "", api.EngineSim:
 	case api.EngineFlat:
-		opts = append(opts, distcover.WithFlatEngine(), distcover.WithSolverParallelism(o.Parallelism))
+		opts = append(opts, distcover.WithSolverParallelism(capWorkers(o.Parallelism)))
 	case api.EngineCluster:
 		copts, err := cluster.options(o)
 		if err != nil {
@@ -257,7 +271,7 @@ func libOptions(o api.SolveOptions, cluster clusterSettings) ([]distcover.Option
 	case api.EngineCongest:
 		opts = append(opts, distcover.WithSequentialEngine())
 	case api.EngineCongestParallel, api.EngineCongestSharded:
-		opts = append(opts, distcover.WithShardedEngine(), distcover.WithShardCount(o.Shards))
+		opts = append(opts, distcover.WithShardedEngine(), distcover.WithShardCount(capWorkers(o.Shards)))
 	case api.EngineCongestTCP:
 		opts = append(opts, distcover.WithTCPEngine())
 	default:

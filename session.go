@@ -77,14 +77,14 @@ var ErrSessionClosed = errors.New("distcover: session closed")
 // clean per-solve (f+ε) guarantee relaxes to f(1+ε) only because vertices
 // that joined under an earlier, smaller rank paid the earlier threshold.
 //
-// The default execution path is the lockstep simulator (like Solve).
-// WithFlatEngine routes the initial solve and every residual re-solve
-// through the chunk-parallel flat runner instead (bit-identical results,
-// wall-clock scaling with cores). Give a CONGEST engine option —
-// WithSequentialEngine, WithShardedEngine, WithTCPEngine — to run both as
-// the real message protocol on that engine; the residual network contains
-// only the dirty vertices and edges, so on the sharded engine only the
-// shards that received new work step at all.
+// The default execution path is the frontier runner on one worker (like
+// Solve); WithSolverParallelism gives the initial solve and every residual
+// re-solve more workers (bit-identical results, wall-clock scaling with
+// cores). Give a CONGEST engine option — WithSequentialEngine,
+// WithShardedEngine, WithTCPEngine — to run both as the real message
+// protocol on that engine; the residual network contains only the dirty
+// vertices and edges, so on the sharded engine only the shards that
+// received new work step at all.
 //
 // Sessions are safe for concurrent use; updates serialize internally.
 type Session struct {
@@ -103,7 +103,7 @@ type Session struct {
 	iterations int
 	rounds     int
 	maxLevel   int
-	congest    *CongestStats // cumulative; nil on the simulator path
+	congest    *CongestStats // cumulative; nil unless a CONGEST engine runs
 
 	remap  []int // scratch: full vertex id -> residual id, -1 when unmapped
 	closed bool
@@ -282,7 +282,7 @@ type SessionState struct {
 	Stats          Stats
 	Updates        int
 	CertifiedBound float64
-	Congest        *CongestStats // nil on the simulator path
+	Congest        *CongestStats // nil unless a CONGEST engine runs
 }
 
 // State returns a consistent snapshot under one lock acquisition. Callers
@@ -428,7 +428,7 @@ func (s *Session) Updates() int {
 }
 
 // Congest returns the cumulative communication metrics when the session
-// runs on a CONGEST engine, nil on the simulator path.
+// runs on a CONGEST engine, nil otherwise.
 func (s *Session) Congest() *CongestStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -78,7 +78,7 @@ func requireSameState(t *testing.T, label string, a, b distcover.SessionState) {
 // applied to the uninterrupted original.
 func TestSessionSnapshotRoundTrip(t *testing.T) {
 	inst, deltas := snapInstance(t, 404, 80, 240)
-	sess, err := distcover.NewSession(inst, distcover.WithFlatEngine())
+	sess, err := distcover.NewSession(inst, distcover.WithSolverParallelism(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := distcover.RestoreSession(&decoded, distcover.WithFlatEngine())
+	restored, err := distcover.RestoreSession(&decoded, distcover.WithSolverParallelism(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSessionSnapshotEngineSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatSess, err := distcover.RestoreSession(snap, distcover.WithFlatEngine())
+	flatSess, err := distcover.RestoreSession(snap, distcover.WithSolverParallelism(0))
 	if err != nil {
 		t.Fatal(err)
 	}

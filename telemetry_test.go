@@ -48,7 +48,7 @@ func TestTelemetryDisabledZeroAllocOverhead(t *testing.T) {
 	inst := telemetryTestInstance(t)
 	const workers = 4
 	flatOpts := []distcover.Option{
-		distcover.WithFlatEngine(), distcover.WithSolverParallelism(workers),
+		distcover.WithSolverParallelism(workers),
 	}
 	solve := func(extra ...distcover.Option) func() {
 		opts := append(append([]distcover.Option(nil), flatOpts...), extra...)
@@ -75,7 +75,7 @@ func TestTelemetryDisabledZeroAllocOverhead(t *testing.T) {
 func TestTelemetryRecorderDoesNotPerturbSolve(t *testing.T) {
 	inst := telemetryTestInstance(t)
 	opts := []distcover.Option{
-		distcover.WithFlatEngine(), distcover.WithSolverParallelism(4),
+		distcover.WithSolverParallelism(4),
 	}
 	want, err := distcover.Solve(inst, opts...)
 	if err != nil {

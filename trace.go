@@ -13,7 +13,7 @@ import (
 // the cluster engine, and round/message totals on the CONGEST engines.
 //
 //	rec := distcover.NewTraceRecorder("")
-//	sol, err := distcover.Solve(inst, distcover.WithFlatEngine(),
+//	sol, err := distcover.Solve(inst, distcover.WithSolverParallelism(0),
 //	    distcover.WithTelemetry(rec))
 //	report := rec.Report() // JSON-serializable phase/round breakdown
 //
